@@ -204,10 +204,12 @@ main()
                static_cast<double>(kernel_stale), "cancels");
 
     // Million-session leg: the top rung re-run serially with the
-    // allocation counter around it. Allocations per admitted request
-    // must stay small and bounded — the array's per-request join and
-    // verify bookkeeping — with zero contribution that scales with
-    // tenant count (sessions are flat, the wheel is intrusive).
+    // allocation counter around it. The request path allocates
+    // nothing (the array's join ledger and the checker's are flat id
+    // tables, callbacks sit inline in the calendar), so what remains
+    // is the run's fixed set-up spread over its admitted requests,
+    // with zero contribution that scales with tenant count (sessions
+    // are flat, the wheel is intrusive).
     {
         serve::ServeParams p = base;
         p.tenants = ladder.back();

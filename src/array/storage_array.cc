@@ -393,82 +393,41 @@ StorageArray::submit(const workload::IoRequest &req)
     verify::onArraySplit(join_id, req.arrival, tnow());
     Join join;
     join.logical = req;
-    join.remaining = 0;
+    fanOut_.clear();
 
     switch (params_.layout) {
-      case Layout::PassThrough: {
+      case Layout::PassThrough:
         sim::simAssert(req.device < params_.disks,
                        "array: device beyond PassThrough disk count");
-        join.remaining = 1;
-        joins_.emplace(join_id, std::move(join));
-        submitSub(req.device, req, join_id);
-        return;
-      }
+        fanOut_.emplace_back(req.device, req);
+        break;
       case Layout::Concat: {
         sim::simAssert(req.device < deviceOffsets_.size(),
                        "array: device beyond Concat device table");
         workload::IoRequest sub = req;
         sub.lba = deviceOffsets_[req.device] + req.lba;
         sub.device = 0;
-        join.remaining = 1;
-        joins_.emplace(join_id, std::move(join));
-        submitSub(0, sub, join_id);
-        return;
+        fanOut_.emplace_back(0, sub);
+        break;
       }
-      case Layout::Raid0: {
-        fanOutRaid0(req, join_id, join);
-        return;
-      }
-      case Layout::Raid1: {
-        // RAID-10: stripe across mirror pairs.
-        const std::uint32_t pairs = params_.disks / 2;
-        const std::uint64_t stripe = params_.stripeSectors;
-        std::uint64_t lba = req.lba % logicalSectors_;
-        std::uint32_t remaining = req.sectors;
-        std::vector<std::pair<std::uint32_t, workload::IoRequest>> subs;
-        while (remaining > 0) {
-            const std::uint64_t stripe_idx = lba / stripe;
-            const std::uint64_t in_stripe = lba % stripe;
-            const std::uint32_t take = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(remaining, stripe - in_stripe));
-            const std::uint32_t pair =
-                static_cast<std::uint32_t>(stripe_idx % pairs);
-            const std::uint64_t disk_lba =
-                (stripe_idx / pairs) * stripe + in_stripe;
-            workload::IoRequest sub = req;
-            sub.lba = disk_lba;
-            sub.sectors = take;
-            const std::uint32_t a = pair * 2;
-            const std::uint32_t b = pair * 2 + 1;
-            if (req.isRead) {
-                std::uint32_t pick;
-                if (failed_[a])
-                    pick = b;
-                else if (failed_[b])
-                    pick = a;
-                else
-                    pick = pickReplica(a, b, sub);
-                subs.emplace_back(pick, sub);
-            } else {
-                if (!failed_[a])
-                    subs.emplace_back(a, sub);
-                if (!failed_[b])
-                    subs.emplace_back(b, sub);
-            }
-            lba += take;
-            remaining -= take;
-        }
-        join.remaining = static_cast<std::uint32_t>(subs.size());
-        joins_.emplace(join_id, std::move(join));
-        for (auto &[idx, sub] : subs)
-            submitSub(idx, sub, join_id);
-        return;
-      }
-      case Layout::Raid5: {
-        fanOutRaid5(req, join_id, join);
-        return;
-      }
+      case Layout::Raid0:
+        fanOutRaid0(req);
+        break;
+      case Layout::Raid1:
+        fanOutRaid1(req);
+        break;
+      case Layout::Raid5:
+        fanOutRaid5(req, join);
+        break;
     }
+    // The whole fan-out is built before the first submit: RAID-1
+    // prices every replica against the backlog as it stood at
+    // arrival, and each submit changes the backlog the next price
+    // would read.
+    join.remaining = static_cast<std::uint32_t>(fanOut_.size());
+    joins_.insert(join_id, std::move(join));
+    for (const auto &[idx, sub] : fanOut_)
+        submitSub(idx, sub, join_id);
 }
 
 std::uint32_t
@@ -502,14 +461,12 @@ StorageArray::pickReplica(std::uint32_t a, std::uint32_t b,
 }
 
 void
-StorageArray::fanOutRaid0(const workload::IoRequest &req,
-                          std::uint64_t join_id, Join &join)
+StorageArray::fanOutRaid0(const workload::IoRequest &req)
 {
     const std::uint64_t stripe = params_.stripeSectors;
     const std::uint32_t n = params_.disks;
     std::uint64_t lba = req.lba % logicalSectors_;
     std::uint32_t remaining = req.sectors;
-    std::vector<std::pair<std::uint32_t, workload::IoRequest>> subs;
     while (remaining > 0) {
         const std::uint64_t stripe_idx = lba / stripe;
         const std::uint64_t in_stripe = lba % stripe;
@@ -520,19 +477,56 @@ StorageArray::fanOutRaid0(const workload::IoRequest &req,
         workload::IoRequest sub = req;
         sub.lba = (stripe_idx / n) * stripe + in_stripe;
         sub.sectors = take;
-        subs.emplace_back(disk_idx, sub);
+        fanOut_.emplace_back(disk_idx, sub);
         lba += take;
         remaining -= take;
     }
-    join.remaining = static_cast<std::uint32_t>(subs.size());
-    joins_.emplace(join_id, std::move(join));
-    for (auto &[idx, sub] : subs)
-        submitSub(idx, sub, join_id);
 }
 
 void
-StorageArray::fanOutRaid5(const workload::IoRequest &req,
-                          std::uint64_t join_id, Join &join)
+StorageArray::fanOutRaid1(const workload::IoRequest &req)
+{
+    // RAID-10: stripe across mirror pairs.
+    const std::uint32_t pairs = params_.disks / 2;
+    const std::uint64_t stripe = params_.stripeSectors;
+    std::uint64_t lba = req.lba % logicalSectors_;
+    std::uint32_t remaining = req.sectors;
+    while (remaining > 0) {
+        const std::uint64_t stripe_idx = lba / stripe;
+        const std::uint64_t in_stripe = lba % stripe;
+        const std::uint32_t take = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(remaining, stripe - in_stripe));
+        const std::uint32_t pair =
+            static_cast<std::uint32_t>(stripe_idx % pairs);
+        const std::uint64_t disk_lba =
+            (stripe_idx / pairs) * stripe + in_stripe;
+        workload::IoRequest sub = req;
+        sub.lba = disk_lba;
+        sub.sectors = take;
+        const std::uint32_t a = pair * 2;
+        const std::uint32_t b = pair * 2 + 1;
+        if (req.isRead) {
+            std::uint32_t pick;
+            if (failed_[a])
+                pick = b;
+            else if (failed_[b])
+                pick = a;
+            else
+                pick = pickReplica(a, b, sub);
+            fanOut_.emplace_back(pick, sub);
+        } else {
+            if (!failed_[a])
+                fanOut_.emplace_back(a, sub);
+            if (!failed_[b])
+                fanOut_.emplace_back(b, sub);
+        }
+        lba += take;
+        remaining -= take;
+    }
+}
+
+void
+StorageArray::fanOutRaid5(const workload::IoRequest &req, Join &join)
 {
     const std::uint64_t stripe = params_.stripeSectors;
     const std::uint32_t n = params_.disks;
@@ -540,8 +534,11 @@ StorageArray::fanOutRaid5(const workload::IoRequest &req,
     std::uint64_t lba = req.lba % logicalSectors_;
     std::uint32_t remaining = req.sectors;
 
-    std::vector<std::pair<std::uint32_t, workload::IoRequest>> now_subs;
-    std::vector<std::pair<std::uint32_t, workload::IoRequest>> deferred;
+    std::vector<Sub> &deferred = join.deferred;
+    if (!deferredPool_.empty()) {
+        deferred = std::move(deferredPool_.back());
+        deferredPool_.pop_back();
+    }
 
     while (remaining > 0) {
         const std::uint64_t stripe_idx = lba / stripe;
@@ -570,10 +567,10 @@ StorageArray::fanOutRaid5(const workload::IoRequest &req,
                         continue;
                     workload::IoRequest peer = data_sub;
                     peer.isRead = true;
-                    now_subs.emplace_back(m, peer);
+                    fanOut_.emplace_back(m, peer);
                 }
             } else {
-                now_subs.emplace_back(data_disk, data_sub);
+                fanOut_.emplace_back(data_disk, data_sub);
             }
         } else if (failed_[data_disk]) {
             // Degraded write, data member lost: regenerate parity by
@@ -583,7 +580,7 @@ StorageArray::fanOutRaid5(const workload::IoRequest &req,
                     continue;
                 workload::IoRequest peer = data_sub;
                 peer.isRead = true;
-                now_subs.emplace_back(m, peer);
+                fanOut_.emplace_back(m, peer);
             }
             if (!failed_[parity_disk]) {
                 workload::IoRequest wp = data_sub;
@@ -592,7 +589,7 @@ StorageArray::fanOutRaid5(const workload::IoRequest &req,
             }
         } else if (failed_[parity_disk]) {
             // Parity member lost: plain write of the data unit.
-            now_subs.emplace_back(data_disk, data_sub);
+            fanOut_.emplace_back(data_disk, data_sub);
         } else {
             // Read-modify-write: read old data and old parity first,
             // then write new data and new parity.
@@ -600,8 +597,8 @@ StorageArray::fanOutRaid5(const workload::IoRequest &req,
             rd.isRead = true;
             workload::IoRequest rp = data_sub;
             rp.isRead = true;
-            now_subs.emplace_back(data_disk, rd);
-            now_subs.emplace_back(parity_disk, rp);
+            fanOut_.emplace_back(data_disk, rd);
+            fanOut_.emplace_back(parity_disk, rp);
             workload::IoRequest wp = data_sub;
             wp.isRead = false;
             deferred.emplace_back(data_disk, data_sub);
@@ -610,12 +607,6 @@ StorageArray::fanOutRaid5(const workload::IoRequest &req,
         lba += take;
         remaining -= take;
     }
-
-    join.remaining = static_cast<std::uint32_t>(now_subs.size());
-    join.deferred = std::move(deferred);
-    joins_.emplace(join_id, std::move(join));
-    for (auto &[idx, sub] : now_subs)
-        submitSub(idx, sub, join_id);
 }
 
 void
@@ -665,29 +656,32 @@ void
 StorageArray::finishSub(std::uint64_t join_id, sim::Tick done,
                         bool tainted)
 {
-    auto it = joins_.find(join_id);
-    sim::simAssert(it != joins_.end(), "array: completion for no join");
-    Join &join = it->second;
-    sim::simAssert(join.remaining > 0, "array: join underflow");
+    Join *join = joins_.find(join_id);
+    sim::simAssert(join != nullptr, "array: completion for no join");
+    sim::simAssert(join->remaining > 0, "array: join underflow");
     verify::onArraySubFinish(join_id, done);
-    --join.remaining;
+    --join->remaining;
     if (tainted)
-        join.tainted = true;
-    if (join.remaining > 0)
+        join->tainted = true;
+    if (join->remaining > 0)
         return;
 
-    if (!join.deferred.empty()) {
-        auto deferred = std::move(join.deferred);
-        join.deferred.clear();
-        join.remaining = static_cast<std::uint32_t>(deferred.size());
+    if (!join->deferred.empty()) {
+        std::vector<Sub> deferred = std::move(join->deferred);
+        join->deferred.clear();
+        join->remaining = static_cast<std::uint32_t>(deferred.size());
         for (auto &[idx, sub] : deferred)
             submitSub(idx, sub, join_id);
+        deferred.clear();
+        deferredPool_.push_back(std::move(deferred));
         return;
     }
 
-    const workload::IoRequest logical = join.logical;
-    const bool join_tainted = join.tainted;
-    joins_.erase(it);
+    const workload::IoRequest logical = join->logical;
+    const bool join_tainted = join->tainted;
+    if (join->deferred.capacity() != 0)
+        deferredPool_.push_back(std::move(join->deferred));
+    joins_.erase(join_id);
     ++stats_.logicalCompletions;
     verify::onArrayJoin(join_id, logical.arrival, done);
     telemetry::emitSpan(logical.id, telemetry::SpanKind::RaidJoin,

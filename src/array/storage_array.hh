@@ -25,13 +25,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bus/bus.hh"
 #include "disk/disk_drive.hh"
 #include "power/governor.hh"
 #include "power/power_model.hh"
+#include "sim/id_table.hh"
 #include "stats/histogram.hh"
 #include "stats/sampler.hh"
 #include "workload/request.hh"
@@ -281,6 +282,9 @@ class StorageArray
   private:
     friend class RebuildEngine;
 
+    /** One member access of a fan-out: (disk index, sub-request). */
+    using Sub = std::pair<std::uint32_t, workload::IoRequest>;
+
     struct Join
     {
         workload::IoRequest logical;
@@ -288,9 +292,9 @@ class StorageArray
         /** A member failed under this join: >= 1 sub-completion was
          *  dropped, so the response sample would be fiction. */
         bool tainted = false;
-        /** Raid5 RMW: writes to issue once the reads complete. */
-        std::vector<std::pair<std::uint32_t, workload::IoRequest>>
-            deferred;
+        /** Raid5 RMW: writes to issue once the reads complete. Drawn
+         *  from deferredPool_ and returned there once issued. */
+        std::vector<Sub> deferred;
     };
 
     sim::Simulator &sim_;
@@ -303,7 +307,13 @@ class StorageArray
     std::uint64_t diskSectors_ = 0;
     std::uint64_t logicalSectors_ = 0;
     std::uint64_t nextJoinId_ = 1;
-    std::unordered_map<std::uint64_t, Join> joins_;
+    /** Outstanding logical requests by join id. */
+    sim::IdTable<Join> joins_;
+    /** The fan-out being built by submit(); reused for every request
+     *  (fan-out never re-enters submit). */
+    std::vector<Sub> fanOut_;
+    /** Spare deferred-write lists, so RMW joins reuse their storage. */
+    std::vector<std::vector<Sub>> deferredPool_;
     std::uint64_t rrRead_ = 0; // Raid1 tie-break
     std::vector<bool> failed_;
     /** Effective RAID-1 read policy (params + IDP_REPLICA). */
@@ -337,10 +347,11 @@ class StorageArray
                               const workload::IoRequest &sub);
     /** Rebuild finished: bring the reconstructed member back. */
     void completeRebuild(std::uint32_t idx);
-    void fanOutRaid0(const workload::IoRequest &req,
-                     std::uint64_t join_id, Join &join);
-    void fanOutRaid5(const workload::IoRequest &req,
-                     std::uint64_t join_id, Join &join);
+    /** Layout fan-outs: append the request's member accesses to
+     *  fanOut_ (and RAID-5's dependent writes to @p join). */
+    void fanOutRaid0(const workload::IoRequest &req);
+    void fanOutRaid1(const workload::IoRequest &req);
+    void fanOutRaid5(const workload::IoRequest &req, Join &join);
 };
 
 } // namespace array

@@ -35,12 +35,6 @@ Bus::transferTicks(std::uint64_t bytes) const
     return minTransferTicks(params_, bytes);
 }
 
-void
-Bus::transfer(std::uint64_t bytes, std::function<void()> done)
-{
-    transfer(bytes, 0, std::move(done));
-}
-
 sim::Tick
 Bus::transferBooked(std::uint64_t bytes, std::uint64_t request_id)
 {
@@ -63,14 +57,6 @@ Bus::transferBooked(std::uint64_t bytes, std::uint64_t request_id)
     // Span covers channel wait plus the movement itself.
     telemetry::emitSpan(request_id, telemetry::SpanKind::Bus, now, end);
     return end;
-}
-
-void
-Bus::transfer(std::uint64_t bytes, std::uint64_t request_id,
-              std::function<void()> done)
-{
-    const sim::Tick end = transferBooked(bytes, request_id);
-    sim_.schedule(end, std::move(done));
 }
 
 double

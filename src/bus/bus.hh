@@ -21,7 +21,7 @@
 #define IDP_BUS_BUS_HH
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -75,15 +75,29 @@ class Bus
     Bus(const Bus &) = delete;
     Bus &operator=(const Bus &) = delete;
 
-    /** Move @p bytes; @p done fires at completion time. */
-    void transfer(std::uint64_t bytes, std::function<void()> done);
+    /**
+     * Move @p bytes; @p done (any void() callable) fires at completion
+     * time. The callable is constructed in place in the calendar slab,
+     * so captures up to sim::SmallFn::kInlineBytes never allocate.
+     */
+    template <typename Fn>
+    void
+    transfer(std::uint64_t bytes, Fn &&done)
+    {
+        transfer(bytes, 0, std::forward<Fn>(done));
+    }
 
     /**
      * Same, tagging the movement with the request id it serves so
      * telemetry can attribute the bus span.
      */
-    void transfer(std::uint64_t bytes, std::uint64_t request_id,
-                  std::function<void()> done);
+    template <typename Fn>
+    void
+    transfer(std::uint64_t bytes, std::uint64_t request_id, Fn &&done)
+    {
+        sim_.schedule(transferBooked(bytes, request_id),
+                      std::forward<Fn>(done));
+    }
 
     /**
      * Book a transfer and return its completion tick without

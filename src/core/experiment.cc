@@ -12,6 +12,37 @@
 namespace idp {
 namespace core {
 
+namespace {
+
+/**
+ * Incremental trace feed, so the calendar holds one arrival at a time
+ * even for multi-million-request traces. Each arrival event captures
+ * only the feed's address and sits inline in the calendar slab; a
+ * copied std::function (whose captures outgrow its small buffer)
+ * would cost a heap allocation per arrival.
+ */
+struct TraceFeed
+{
+    const workload::Trace &trace;
+    sim::Simulator &simul;
+    array::StorageArray &arr;
+    std::size_t next = 0;
+
+    void
+    fire()
+    {
+        const workload::IoRequest &req = trace[next];
+        ++next;
+        // Schedule the next arrival first, then submit: same-tick
+        // events keep their scheduling order.
+        if (next < trace.size())
+            simul.schedule(trace[next].arrival, [this] { fire(); });
+        arr.submit(req);
+    }
+};
+
+} // namespace
+
 std::uint64_t
 traceDeviceSectors(const workload::WorkloadModel &model)
 {
@@ -132,17 +163,8 @@ runTrace(const workload::Trace &trace, const SystemConfig &config,
     if (prun)
         prun->setArray(&arr);
 
-    // Feed arrivals incrementally so the event queue stays small even
-    // for multi-million-request traces.
-    std::size_t next = 0;
-    std::function<void()> feed = [&] {
-        const workload::IoRequest &req = trace[next];
-        ++next;
-        if (next < trace.size())
-            simul.schedule(trace[next].arrival, feed);
-        arr.submit(req);
-    };
-    simul.schedule(trace.front().arrival, feed);
+    TraceFeed feed{trace, simul, arr};
+    simul.schedule(trace.front().arrival, [&feed] { feed.fire(); });
     if (prun)
         prun->run();
     else

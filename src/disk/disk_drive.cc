@@ -444,8 +444,11 @@ DiskDrive::allocPending(const workload::IoRequest &req, bool internal)
         fgList_.index.ensureSlots(pendingPool_.size());
         bgList_.index.ensureSlots(pendingPool_.size());
         // The free list can hold every slot (drain phases); grow its
-        // capacity here so releasePending never allocates.
-        pendingFree_.reserve(pendingPool_.size());
+        // capacity here so releasePending never allocates. It follows
+        // the arena's geometric capacity, not its size, so a run whose
+        // queue keeps deepening does not reallocate it per new slot.
+        if (pendingFree_.capacity() < pendingPool_.capacity())
+            pendingFree_.reserve(pendingPool_.capacity());
     } else {
         slot = pendingFree_.back();
         pendingFree_.pop_back();

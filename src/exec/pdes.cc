@@ -275,7 +275,7 @@ PdesRun::run()
         coordSim_.runBefore(h);
 
         // Phase B: per-drive windows, in parallel.
-        runDrives(h);
+        runDrives();
 
         // Phase C: merge completions onto the array-phase calendar.
         active_ = &arraySim_;
@@ -401,8 +401,9 @@ PdesRun::serialStep(sim::Tick t)
 }
 
 void
-PdesRun::runDrives(sim::Tick horizon)
+PdesRun::runDrives()
 {
+    const sim::Tick horizon = horizon_;
     busy_.clear();
     for (std::uint32_t i = 0;
          i < static_cast<std::uint32_t>(driveSims_.size()); ++i) {
@@ -426,10 +427,11 @@ PdesRun::runDrives(sim::Tick horizon)
     }
     if (!pool_)
         pool_ = std::make_unique<ThreadPool>(workers_);
+    // Tasks read the horizon from the member, so each captures only
+    // [this, i] and fits std::function's inline buffer: a busy drive
+    // costs no heap allocation per round.
     for (std::uint32_t i : busy_)
-        pool_->submit([this, i, horizon] {
-            driveWindowTask(i, horizon);
-        });
+        pool_->submit([this, i] { driveWindowTask(i, horizon_); });
     pool_->wait();
 }
 

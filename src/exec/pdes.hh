@@ -276,7 +276,8 @@ class PdesRun final : public array::ArrayBridge
      *  to @p t and loop coordinator/drive/merge phases until no
      *  activity at or before @p t remains. */
     void serialStep(sim::Tick t);
-    void runDrives(sim::Tick horizon);
+    /** Phase B: run every busy drive's window up to horizon_. */
+    void runDrives();
     /** Worker entry: installs the run's thread-local currents. */
     void driveWindowTask(std::uint32_t i, sim::Tick horizon);
     void runDriveWindow(std::uint32_t i, sim::Tick horizon);

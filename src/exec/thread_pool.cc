@@ -27,6 +27,36 @@ ThreadPool::~ThreadPool()
         w.join();
 }
 
+void
+ThreadPool::WorkQueue::pushBack(Task task)
+{
+    if (count == ring.size()) {
+        std::vector<Task> grown(std::max<std::size_t>(8, 2 * count));
+        for (std::size_t i = 0; i < count; ++i)
+            grown[i] = std::move(ring[(head + i) % ring.size()]);
+        ring = std::move(grown);
+        head = 0;
+    }
+    ring[(head + count) % ring.size()] = std::move(task);
+    ++count;
+}
+
+ThreadPool::Task
+ThreadPool::WorkQueue::popFront()
+{
+    Task task = std::move(ring[head]);
+    head = (head + 1) % ring.size();
+    --count;
+    return task;
+}
+
+ThreadPool::Task
+ThreadPool::WorkQueue::popBack()
+{
+    --count;
+    return std::move(ring[(head + count) % ring.size()]);
+}
+
 unsigned
 ThreadPool::hardwareThreads()
 {
@@ -44,7 +74,7 @@ ThreadPool::submit(std::function<void()> task)
     }
     {
         std::lock_guard<std::mutex> qlock(queues_[victim]->mutex);
-        queues_[victim]->tasks.push_back(std::move(task));
+        queues_[victim]->pushBack(std::move(task));
     }
     {
         std::lock_guard<std::mutex> lock(stateMutex_);
@@ -61,15 +91,14 @@ ThreadPool::wait()
 }
 
 bool
-ThreadPool::tryGetTask(std::size_t self, std::function<void()> &out)
+ThreadPool::tryGetTask(std::size_t self, Task &out)
 {
     // Own queue first, front (most recently assigned locality) ...
     {
         WorkQueue &mine = *queues_[self];
         std::lock_guard<std::mutex> qlock(mine.mutex);
-        if (!mine.tasks.empty()) {
-            out = std::move(mine.tasks.front());
-            mine.tasks.pop_front();
+        if (mine.count != 0) {
+            out = mine.popFront();
             return true;
         }
     }
@@ -77,9 +106,8 @@ ThreadPool::tryGetTask(std::size_t self, std::function<void()> &out)
     for (std::size_t i = 1; i < queues_.size(); ++i) {
         WorkQueue &theirs = *queues_[(self + i) % queues_.size()];
         std::lock_guard<std::mutex> qlock(theirs.mutex);
-        if (!theirs.tasks.empty()) {
-            out = std::move(theirs.tasks.back());
-            theirs.tasks.pop_back();
+        if (theirs.count != 0) {
+            out = theirs.popBack();
             return true;
         }
     }
@@ -90,7 +118,7 @@ void
 ThreadPool::workerLoop(std::size_t self)
 {
     for (;;) {
-        std::function<void()> task;
+        Task task;
         if (tryGetTask(self, task)) {
             {
                 std::lock_guard<std::mutex> lock(stateMutex_);

@@ -19,7 +19,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -56,14 +55,28 @@ class ThreadPool
     static unsigned hardwareThreads();
 
   private:
+    using Task = std::function<void()>;
+
+    /**
+     * One worker's deque, as a ring buffer that doubles when full and
+     * never shrinks. A std::deque sliding along frees and reallocates
+     * a block every sixteen tasks, a heap allocation the PDES engine's
+     * per-round drive fan-out would pay for the whole run.
+     */
     struct WorkQueue
     {
         std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
+        std::vector<Task> ring;
+        std::size_t head = 0; ///< slot of the front task
+        std::size_t count = 0;
+
+        void pushBack(Task task);
+        Task popFront();
+        Task popBack();
     };
 
     void workerLoop(std::size_t self);
-    bool tryGetTask(std::size_t self, std::function<void()> &out);
+    bool tryGetTask(std::size_t self, Task &out);
 
     std::vector<std::unique_ptr<WorkQueue>> queues_;
     std::vector<std::thread> workers_;

@@ -136,8 +136,8 @@ InvariantChecker::diskComplete(std::uint32_t dev, std::uint64_t id,
     observations_.fetch_add(1, std::memory_order_relaxed);
     touch(dev, done);
     DiskState &d = disk(dev);
-    auto it = d.outstanding.find(id);
-    if (it == d.outstanding.end() || it->second.count == 0) {
+    OutstandingEntry *e = d.outstanding.find(id);
+    if (e == nullptr || e->count == 0) {
         std::ostringstream os;
         os << "disk " << dev << ": request " << id
            << " completed more times than it was submitted";
@@ -145,15 +145,15 @@ InvariantChecker::diskComplete(std::uint32_t dev, std::uint64_t id,
         return;
     }
     ++d.completions;
-    if (done < it->second.lastSubmit + min_service) {
+    if (done < e->lastSubmit + min_service) {
         std::ostringstream os;
         os << "disk " << dev << ": request " << id << " completed at "
            << done << ", before submit + minimum service ("
-           << it->second.lastSubmit + min_service << ")";
+           << e->lastSubmit + min_service << ")";
         fail(os.str());
     }
-    if (--it->second.count == 0)
-        d.outstanding.erase(it);
+    if (--e->count == 0)
+        d.outstanding.erase(id);
 }
 
 void
@@ -253,14 +253,14 @@ InvariantChecker::arraySplit(std::uint64_t join_id, sim::Tick arrival,
            << ")";
         fail(os.str());
     }
-    auto [it, inserted] = joins_.emplace(join_id, JoinState{});
+    auto [state, inserted] = joins_.insert(join_id, JoinState{});
     if (!inserted) {
         std::ostringstream os;
         os << "array: join id " << join_id << " reused";
         fail(os.str());
         return;
     }
-    it->second.arrival = arrival;
+    state->arrival = arrival;
     ++joinsCreated_;
 }
 
@@ -268,16 +268,16 @@ void
 InvariantChecker::arraySub(std::uint64_t join_id)
 {
     observations_.fetch_add(1, std::memory_order_relaxed);
-    auto it = joins_.find(join_id);
-    if (it == joins_.end() || it->second.joined) {
+    JoinState *state = joins_.find(join_id);
+    if (state == nullptr || state->joined) {
         std::ostringstream os;
         os << "array: sub-request issued for "
-           << (it == joins_.end() ? "unknown" : "already-joined")
+           << (state == nullptr ? "unknown" : "already-joined")
            << " join " << join_id;
         fail(os.str());
         return;
     }
-    ++it->second.outstanding;
+    ++state->outstanding;
 }
 
 void
@@ -285,15 +285,15 @@ InvariantChecker::arraySubFinish(std::uint64_t join_id, sim::Tick done)
 {
     observations_.fetch_add(1, std::memory_order_relaxed);
     (void)done;
-    auto it = joins_.find(join_id);
-    if (it == joins_.end() || it->second.outstanding == 0) {
+    JoinState *state = joins_.find(join_id);
+    if (state == nullptr || state->outstanding == 0) {
         std::ostringstream os;
         os << "array: sub-completion for join " << join_id
            << " with no outstanding sub-requests";
         fail(os.str());
         return;
     }
-    --it->second.outstanding;
+    --state->outstanding;
 }
 
 void
@@ -301,18 +301,18 @@ InvariantChecker::arrayJoin(std::uint64_t join_id, sim::Tick arrival,
                             sim::Tick done)
 {
     observations_.fetch_add(1, std::memory_order_relaxed);
-    auto it = joins_.find(join_id);
-    if (it == joins_.end() || it->second.joined) {
+    JoinState *state = joins_.find(join_id);
+    if (state == nullptr || state->joined) {
         std::ostringstream os;
         os << "array: join " << join_id << " completed "
-           << (it == joins_.end() ? "without a split" : "twice");
+           << (state == nullptr ? "without a split" : "twice");
         fail(os.str());
         return;
     }
-    if (it->second.outstanding != 0) {
+    if (state->outstanding != 0) {
         std::ostringstream os;
         os << "array: join " << join_id << " completed with "
-           << it->second.outstanding << " sub-requests outstanding";
+           << state->outstanding << " sub-requests outstanding";
         fail(os.str());
     }
     if (done < arrival) {
@@ -321,9 +321,9 @@ InvariantChecker::arrayJoin(std::uint64_t join_id, sim::Tick arrival,
            << ", before its arrival " << arrival;
         fail(os.str());
     }
-    it->second.joined = true;
+    state->joined = true;
     ++joinsCompleted_;
-    joins_.erase(it);
+    joins_.erase(join_id);
 }
 
 void
@@ -393,9 +393,7 @@ void
 InvariantChecker::rebuildChunk(std::uint64_t chunk)
 {
     observations_.fetch_add(1, std::memory_order_relaxed);
-    auto [it, inserted] = rebuildWrites_.emplace(chunk, 0u);
-    (void)it;
-    if (!inserted) {
+    if (!rebuildWrites_.insert(chunk, 0u).second) {
         std::ostringstream os;
         os << "rebuild: chunk " << chunk << " reconstructed twice";
         fail(os.str());
@@ -408,17 +406,17 @@ void
 InvariantChecker::rebuildSpareWrite(std::uint64_t chunk)
 {
     observations_.fetch_add(1, std::memory_order_relaxed);
-    auto it = rebuildWrites_.find(chunk);
-    if (it == rebuildWrites_.end()) {
+    std::uint32_t *writes = rebuildWrites_.find(chunk);
+    if (writes == nullptr) {
         std::ostringstream os;
         os << "rebuild: spare write for unannounced chunk " << chunk;
         fail(os.str());
         return;
     }
-    if (++it->second > 1) {
+    if (++*writes > 1) {
         std::ostringstream os;
         os << "rebuild: chunk " << chunk << " written to the spare "
-           << it->second << " times (must be exactly once)";
+           << *writes << " times (must be exactly once)";
         fail(os.str());
         return;
     }
@@ -463,14 +461,15 @@ InvariantChecker::finalize()
            << rebuildSpareWrites_ << " spare writes";
         fail(os.str());
     }
-    for (const auto &[chunk, writes] : rebuildWrites_) {
+    rebuildWrites_.forEach([this](std::uint64_t chunk,
+                                  std::uint32_t writes) {
         if (writes == 1)
-            continue;
+            return;
         std::ostringstream os;
         os << "rebuild: chunk " << chunk << " saw " << writes
            << " spare writes (must be exactly one)";
         fail(os.str());
-    }
+    });
 }
 
 VerifyScope::VerifyScope(InvariantChecker *checker) : prev_(t_current)

@@ -25,9 +25,9 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/id_table.hh"
 #include "sim/types.hh"
 #include "stats/mode_tracker.hh"
 
@@ -169,7 +169,7 @@ class InvariantChecker
 
     struct DiskState
     {
-        std::unordered_map<std::uint64_t, OutstandingEntry> outstanding;
+        sim::IdTable<OutstandingEntry> outstanding;
         std::uint64_t submits = 0;
         std::uint64_t completions = 0;
         sim::Tick lastSeen = 0;
@@ -199,11 +199,11 @@ class InvariantChecker
      *  PDES. Each drive's state is only touched from the calendar
      *  that owns the drive, so entries need no locks. */
     std::vector<DiskState> disks_;
-    std::unordered_map<std::uint64_t, JoinState> joins_;
+    sim::IdTable<JoinState> joins_;
     std::uint64_t joinsCreated_ = 0;
     std::uint64_t joinsCompleted_ = 0;
     /** Spare writes seen per announced rebuild chunk. */
-    std::unordered_map<std::uint64_t, std::uint32_t> rebuildWrites_;
+    sim::IdTable<std::uint32_t> rebuildWrites_;
     std::uint64_t rebuildChunks_ = 0;
     std::uint64_t rebuildSpareWrites_ = 0;
     /** Per-domain kernel clocks (see checkKernelTime). */

@@ -85,21 +85,26 @@ TEST_P(LayoutDriveSweep, DrainsAndConserves)
     EXPECT_EQ(times.total, static_cast<sim::Tick>(c.disks) * end);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Grid, LayoutDriveSweep,
-    ::testing::Values(
-        SweepCase{Layout::PassThrough, 3, 1, false, false},
-        SweepCase{Layout::PassThrough, 3, 2, false, true},
-        SweepCase{Layout::Concat, 1, 1, false, false},
-        SweepCase{Layout::Concat, 1, 4, true, false},
-        SweepCase{Layout::Raid0, 4, 1, false, false},
-        SweepCase{Layout::Raid0, 4, 2, true, false},
-        SweepCase{Layout::Raid0, 8, 4, false, true},
-        SweepCase{Layout::Raid1, 4, 1, false, false},
-        SweepCase{Layout::Raid1, 2, 2, true, false},
-        SweepCase{Layout::Raid5, 3, 1, false, false},
-        SweepCase{Layout::Raid5, 5, 2, false, false},
-        SweepCase{Layout::Raid5, 4, 4, true, true}));
+// GTest names each case after the raw bytes of its SweepCase, two of
+// which are padding. A constant-initialized table keeps that padding
+// zero; temporaries built on the stack left it to stack residue, so
+// some case names changed from run to run.
+constexpr SweepCase kGrid[] = {
+    {Layout::PassThrough, 3, 1, false, false},
+    {Layout::PassThrough, 3, 2, false, true},
+    {Layout::Concat, 1, 1, false, false},
+    {Layout::Concat, 1, 4, true, false},
+    {Layout::Raid0, 4, 1, false, false},
+    {Layout::Raid0, 4, 2, true, false},
+    {Layout::Raid0, 8, 4, false, true},
+    {Layout::Raid1, 4, 1, false, false},
+    {Layout::Raid1, 2, 2, true, false},
+    {Layout::Raid5, 3, 1, false, false},
+    {Layout::Raid5, 5, 2, false, false},
+    {Layout::Raid5, 4, 4, true, true},
+};
+
+INSTANTIATE_TEST_SUITE_P(Grid, LayoutDriveSweep, ::testing::ValuesIn(kGrid));
 
 TEST(CostSweep, MonotoneInActuators)
 {
