@@ -128,7 +128,8 @@ mirrorMeanMs(ConfigDef config, array::ReplicaPolicy policy,
 /**
  * Steady-state allocations of the pure rebuild path: a rebuild with
  * no foreground traffic, allocation counter read between the 25% and
- * 75% chunk landings (all sample buffers pre-reserved).
+ * 75% chunk landings. Rebuild I/O adds no array response sample, and
+ * the drives' sample sets keep moments only, so no buffer grows.
  */
 std::uint64_t
 rebuildSteadyAllocs(const ConfigDef &config, int pdes_workers = 0)
@@ -144,7 +145,6 @@ rebuildSteadyAllocs(const ConfigDef &config, int pdes_workers = 0)
                             prun.get());
     if (prun)
         prun->setArray(&arr);
-    arr.reserveStatsCapacity();
     arr.failDisk(0);
 
     std::uint64_t start_allocs = 0;

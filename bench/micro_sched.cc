@@ -96,11 +96,9 @@ runLoad(std::uint32_t depth, bool prune, std::uint64_t total)
         simul.schedule(0, [&drive, req] { drive.submit(req); });
     }
 
-    // Warmup: 90% of the load. That carries the stats SampleSets
-    // past their next power-of-two capacity (40000 completions grow
-    // the vectors to 65536 at 32768; the measured tail of 4000 stays
-    // under the next boundary), so the measured window sees only
-    // steady-state dispatch work.
+    // Warmup: 90% of the load, so the measured window sees only
+    // steady-state dispatch work. The drive's sample sets keep
+    // moments only and never grow.
     const std::uint64_t warm_until = total / 10;
     while (remaining > warm_until && simul.step()) {
     }

@@ -251,9 +251,9 @@ emitKernelReport()
                 simul.run();
             }
         };
-        // Warm past the stats SampleSets' next power-of-two capacity
-        // (65 rounds = 33280 samples -> vector capacity 65536) so the
-        // measured window triggers no reallocation.
+        // Warm up (65 rounds = 33280 requests) so the measured window
+        // sees only steady-state work. The drive's sample sets keep
+        // moments only and never grow.
         pump(smoke ? 9 : 65);
         const std::uint64_t fired0 = simul.eventsFired();
         const std::uint64_t disp0 = drive.stats().mediaAccesses;

@@ -127,7 +127,8 @@ struct ArrayStats
     stats::SampleSet responseMs{1u << 20};
     stats::Histogram responseHist = stats::makeResponseHistogram();
     stats::Histogram rotHist = stats::makeRotLatencyHistogram();
-    stats::SampleSet rotMs{1u << 18};
+    /** Moments only: Figure 5 reads rotHist and the mean. */
+    stats::SampleSet rotMs{stats::SampleSet::kMomentsOnly};
 };
 
 /**
@@ -166,27 +167,22 @@ class StorageArray
     const ArrayStats &stats() const { return stats_; }
     const ArrayParams &params() const { return params_; }
 
-    /** Sort the response/rotation sample sets in place once the run
-     *  has drained, so quantile reads stop paying for copies. */
-    void sealStats()
-    {
-        stats_.responseMs.seal();
-        stats_.rotMs.seal();
-    }
+    /** Sort the response sample set in place once the run has
+     *  drained, so a reader of many quantiles stops paying for
+     *  copies. The other sets keep moments only. */
+    void sealStats() { stats_.responseMs.seal(); }
 
     /**
-     * Pre-reserve the response/rotation sample buffers to their full
-     * reservoir capacity (~12 MB). Long-lived serving loops pay this
-     * once up front so completion-path ingestion never reallocates in
-     * steady state; batch sweeps skip it (many concurrent short runs
-     * would multiply the fixed cost).
+     * Pre-reserve the response sample buffer to its full reservoir
+     * capacity (8 MB). Long-lived serving loops pay this once up
+     * front so completion-path ingestion never reallocates in steady
+     * state; batch sweeps skip it (many concurrent short runs would
+     * multiply the fixed cost). The other sets keep moments only and
+     * never allocate.
      */
     void reserveStatsCapacity()
     {
         stats_.responseMs.reserve(~std::size_t(0));
-        stats_.rotMs.reserve(~std::size_t(0));
-        for (auto &d : disks_)
-            d->reserveStatsCapacity();
     }
 
     /** Logical capacity exposed by the layout, in sectors. */

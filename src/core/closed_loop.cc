@@ -92,7 +92,6 @@ runClosedLoop(const SystemConfig &config,
     simul.run();
     if (checker)
         checker->finalize();
-    responses.seal();
 
     ClosedLoopResult result;
     result.completions = completions;

@@ -176,7 +176,6 @@ runTrace(const workload::Trace &trace, const SystemConfig &config,
                    "runTrace: lost requests");
     if (checker)
         checker->finalize();
-    arr.sealStats();
 
     RunResult result;
     result.system = config.name;

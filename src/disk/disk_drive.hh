@@ -97,9 +97,10 @@ struct DriveStats
     std::uint64_t armParks = 0;          ///< actuator park events
     std::uint64_t armUnparks = 0;
 
-    stats::SampleSet responseMs{1u << 20};
-    stats::SampleSet seekMs{1u << 18};
-    stats::SampleSet rotMs{1u << 18};
+    /** Moments only: no caller reads a per-drive quantile. */
+    stats::SampleSet responseMs{stats::SampleSet::kMomentsOnly};
+    stats::SampleSet seekMs{stats::SampleSet::kMomentsOnly};
+    stats::SampleSet rotMs{stats::SampleSet::kMomentsOnly};
     stats::Histogram responseHist = stats::makeResponseHistogram();
     stats::Histogram rotHist = stats::makeRotLatencyHistogram();
 
@@ -218,19 +219,6 @@ class DiskDrive
 
     /** Snapshot of mode accounting without closing. */
     stats::ModeTimes modeTimesSnapshot() const;
-
-    /**
-     * Pre-reserve the per-drive sample buffers to their reservoir
-     * capacity so completion-path ingestion never reallocates in
-     * steady state (long-lived serving loops, rebuild benches).
-     */
-    void
-    reserveStatsCapacity()
-    {
-        stats_.responseMs.reserve(~std::size_t(0));
-        stats_.seekMs.reserve(~std::size_t(0));
-        stats_.rotMs.reserve(~std::size_t(0));
-    }
 
     const DriveStats &stats() const { return stats_; }
     const DriveSpec &spec() const { return spec_; }

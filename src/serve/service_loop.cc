@@ -590,7 +590,6 @@ runService(const core::SystemConfig &config, const ServeParams &params)
     simul.run();
     if (checker)
         checker->finalize();
-    arr.sealStats();
 
     ServeResult result;
     result.system = config.name;

@@ -11,7 +11,6 @@ namespace stats {
 SampleSet::SampleSet(std::size_t capacity, std::uint64_t seed)
     : capacity_(capacity), rng_(seed)
 {
-    sim::simAssert(capacity_ > 0, "SampleSet: capacity must be > 0");
 }
 
 void
@@ -29,7 +28,7 @@ SampleSet::add(double x)
     if (samples_.size() < capacity_) {
         samples_.push_back(x);
         sorted_ = false;
-    } else {
+    } else if (capacity_ != kMomentsOnly) {
         // Vitter's algorithm R: replace a random slot with probability
         // capacity / count so retained samples stay uniform.
         const std::uint64_t j = rng_.uniformInt(count_);
@@ -61,36 +60,38 @@ SampleSet::mean() const
     return count_ ? sum_ / static_cast<double>(count_) : 0.0;
 }
 
-namespace {
-
-/** Linear-interpolated order statistic of a sorted vector. */
-double
-sortedQuantile(const std::vector<double> &sorted, double q)
-{
-    const double pos = q * static_cast<double>(sorted.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-} // namespace
-
 double
 SampleSet::quantile(double q) const
 {
     sim::simAssert(q >= 0.0 && q <= 1.0, "SampleSet::quantile: bad q");
+    if (capacity_ == kMomentsOnly)
+        sim::fatal("SampleSet::quantile: this set keeps moments only "
+                   "(count, mean, stddev, min, max), no samples to "
+                   "take a quantile of");
     if (samples_.empty())
         return 0.0;
+    // Linear interpolation between order statistics lo and lo + 1.
+    const std::size_t n = samples_.size();
+    const double pos = q * static_cast<double>(n - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const double frac = pos - static_cast<double>(lo);
+    const auto at = [frac](double below, double above) {
+        return below * (1.0 - frac) + above * frac;
+    };
+    if (sorted_)
+        return at(samples_[lo], samples_[std::min(lo + 1, n - 1)]);
     // A const read must not mutate: concurrent snapshot readers (the
     // sweep UI, telemetry exporters) may call this while other threads
-    // read too. Sealed sets answer in place; unsealed ones pay for a
-    // local sorted copy instead of sorting shared state.
-    if (sorted_)
-        return sortedQuantile(samples_, q);
-    std::vector<double> sorted(samples_);
-    std::sort(sorted.begin(), sorted.end());
-    return sortedQuantile(sorted, q);
+    // read too, so an unsealed set selects within a local copy.
+    // nth_element leaves order statistic lo at lo and only values no
+    // smaller above it, so the smallest of those is order statistic
+    // lo + 1: the same two values a sort would give.
+    std::vector<double> copy(samples_);
+    const auto nth = copy.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(copy.begin(), nth, copy.end());
+    const double above =
+        lo + 1 < n ? *std::min_element(nth + 1, copy.end()) : *nth;
+    return at(*nth, above);
 }
 
 double

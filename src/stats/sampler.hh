@@ -5,7 +5,9 @@
  * Figure 8 reports 90th-percentile response times; the limit study
  * quotes means. SampleSet keeps every sample up to a cap and switches
  * to uniform reservoir sampling beyond it so percentiles stay accurate
- * without unbounded memory on multi-million-request runs.
+ * without unbounded memory on multi-million-request runs. A set built
+ * with capacity kMomentsOnly keeps no samples at all: only count,
+ * mean, stddev, min and max, for streams nobody reads a quantile of.
  */
 
 #ifndef IDP_STATS_SAMPLER_HH
@@ -25,15 +27,19 @@ namespace stats {
  * Thread model: add() and seal() mutate and need external
  * serialization, as usual; every const accessor (including
  * quantile()) is safe to call from concurrent readers. quantile() on
- * an unsealed set sorts a local copy rather than the shared buffer —
- * call seal() once ingestion is done to sort in place and make
- * subsequent quantile() calls copy-free.
+ * an unsealed set selects within a local copy rather than the shared
+ * buffer — a reader asking for many quantiles calls seal() once
+ * ingestion is done to sort in place and make later reads copy-free.
  */
 class SampleSet
 {
   public:
+    /** Capacity that keeps the moments only: no samples, no RNG. */
+    static constexpr std::size_t kMomentsOnly = 0;
+
     /**
-     * @param capacity maximum retained samples before reservoir mode.
+     * @param capacity maximum retained samples before reservoir mode,
+     *        or kMomentsOnly.
      * @param seed reservoir RNG stream; the default keeps historical
      *        sampling behaviour, tests vary it to exercise algorithm
      *        R's uniformity across streams.
@@ -70,7 +76,8 @@ class SampleSet
 
     /**
      * Quantile q in [0, 1] over retained samples (exact below capacity,
-     * reservoir-approximate above). q = 0.5 gives the median.
+     * reservoir-approximate above). q = 0.5 gives the median. Fatal on
+     * a moments-only set, which has no order statistics to give.
      */
     double quantile(double q) const;
 
@@ -88,7 +95,7 @@ class SampleSet
   private:
     std::size_t capacity_;
     std::vector<double> samples_;
-    mutable bool sorted_ = true;
+    bool sorted_ = true;
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double sumSq_ = 0.0;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Storage-array tests: layouts (pass-through, concat, RAID-0/1/5),
- * split/join correctness, power aggregation.
+ * split/join correctness, power aggregation, which statistics keep
+ * samples.
  */
 
 #include <gtest/gtest.h>
@@ -340,6 +341,32 @@ TEST(ArrayPower, MostlyIdleArrayDominatedByIdleMode)
     const auto power = h.arr.finishPower();
     EXPECT_GT(power.modeAvgW(stats::DiskMode::Idle),
               power.totalAvgW() * 0.5);
+}
+
+TEST(ArrayStats, OnlyLogicalResponsesKeepSamples)
+{
+    // Every per-drive set and the array's rotation set keep moments
+    // only; the logical response set is the one quantile source.
+    ArrayParams p;
+    p.layout = Layout::Raid0;
+    p.disks = 2;
+    p.drive = smallDrive();
+    Harness h(p);
+    sim::Rng rng(14);
+    const std::uint64_t space = h.arr.logicalSectors() - 64;
+    for (int i = 0; i < 40; ++i)
+        h.submitAt(i * sim::kTicksPerMs,
+                   makeReq(i, 0, rng.uniformInt(space), 8, true));
+    h.simul.run();
+    const auto &drive = h.arr.diskAt(0).stats();
+    ASSERT_GT(drive.seekMs.count(), 0u);
+    EXPECT_GT(drive.responseMs.mean(), 0.0);
+    EXPECT_GE(drive.rotMs.maxSeen(), drive.rotMs.minSeen());
+    EXPECT_GT(h.arr.stats().responseMs.p90(), 0.0);
+    EXPECT_DEATH(drive.seekMs.quantile(0.5), "keeps moments only");
+    EXPECT_DEATH(drive.responseMs.p99(), "keeps moments only");
+    EXPECT_DEATH(drive.rotMs.p90(), "keeps moments only");
+    EXPECT_DEATH(h.arr.stats().rotMs.quantile(0.5), "keeps moments only");
 }
 
 TEST(ArrayStress, MixedLoadDrains)

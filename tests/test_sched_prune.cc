@@ -214,6 +214,8 @@ TEST(SchedPrune, CrossCheckRunsAndStaysSilent)
     // With a checker installed, the indexed schedulers periodically
     // re-derive their pick with the exhaustive reference; a live run
     // must record sched observations and zero violations.
+    if (!verify::kCompiledIn)
+        GTEST_SKIP() << "verify compiled out";
     for (sched::Policy p :
          {sched::Policy::Sstf, sched::Policy::Clook,
           sched::Policy::Sptf, sched::Policy::SptfAged}) {

@@ -2,16 +2,20 @@
  * @file
  * Property tests for the statistics layer the verification harness
  * (and every figure) leans on: SampleSet::quantile against an exact
- * sorted reference, Histogram::quantile/cdfSeries sanity under
- * degenerate inputs, reservoir uniformity of algorithm R, and
- * thread-safety of concurrent const reads (run under TSan in CI).
+ * sorted reference, selection against the sealed sort bit for bit,
+ * moments-only sets against retaining ones, Histogram::quantile/
+ * cdfSeries sanity under degenerate inputs, reservoir uniformity of
+ * algorithm R, and thread-safety of concurrent const reads (run
+ * under TSan in CI).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -96,6 +100,97 @@ TEST(SampleSetQuantile, SealDoesNotChangeAnswers)
     // Adding after seal still works.
     s.add(2.0);
     EXPECT_DOUBLE_EQ(s.quantile(1.0), 2.0);
+}
+
+/** The bits of @p x, so equality means bit-for-bit equality. */
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+TEST(SampleSetQuantile, SelectionMatchesSealedBitForBit)
+{
+    // An unsealed set answers by selection (nth_element, then the
+    // minimum above it); a sealed one reads its sorted buffer. Both
+    // must give the same bits for every order statistic, including
+    // runs of duplicates, where a selection bug would pick a
+    // neighbour of equal rank but different value.
+    sim::Rng rng(0x5E1EC7);
+    const auto draw = [&rng](int kind) {
+        switch (kind) {
+          case 0: // continuous
+            return rng.uniform(0.0, 80.0);
+          case 1: // few distinct values, many duplicates
+            return 0.5 * static_cast<double>(rng.uniformInt(4ULL));
+          case 2: // one value
+            return 7.25;
+          default: // mostly one value with rare outliers
+            return rng.chance(0.05) ? rng.uniform(100.0, 200.0) : 3.0;
+        }
+    };
+    for (int kind = 0; kind < 4; ++kind) {
+        for (std::size_t n : {1u, 2u, 3u, 1000u}) {
+            SampleSet unsealed;
+            SampleSet sealed;
+            for (std::size_t i = 0; i < n; ++i) {
+                const double x = draw(kind);
+                unsealed.add(x);
+                sealed.add(x);
+            }
+            sealed.seal();
+            std::vector<double> qs = {0.9, 0.99, 1.0};
+            for (std::size_t i = 0; i < n; ++i)
+                qs.push_back(n > 1 ? static_cast<double>(i) /
+                                         static_cast<double>(n - 1)
+                                   : 0.0);
+            for (double q : qs)
+                ASSERT_EQ(bits(unsealed.quantile(q)),
+                          bits(sealed.quantile(q)))
+                    << "kind=" << kind << " n=" << n << " q=" << q;
+        }
+    }
+}
+
+TEST(SampleSetMoments, MomentsOnlyMatchesRetainingSet)
+{
+    // The moments never depend on what a set retains: a moments-only
+    // set and a small reservoir (so algorithm R's replacement path
+    // runs) fed one stream agree bit for bit.
+    sim::Rng rng(0x303E);
+    for (std::size_t n : {0u, 1u, 2u, 37u, 5000u}) {
+        SampleSet moments(SampleSet::kMomentsOnly);
+        SampleSet kept(16);
+        for (std::size_t i = 0; i < n; ++i) {
+            const double x = rng.uniform(-20.0, 60.0);
+            moments.add(x);
+            kept.add(x);
+        }
+        EXPECT_EQ(moments.count(), kept.count()) << "n=" << n;
+        EXPECT_EQ(moments.empty(), kept.empty()) << "n=" << n;
+        EXPECT_EQ(bits(moments.mean()), bits(kept.mean())) << "n=" << n;
+        EXPECT_EQ(bits(moments.stddev()), bits(kept.stddev()))
+            << "n=" << n;
+        EXPECT_EQ(bits(moments.minSeen()), bits(kept.minSeen()))
+            << "n=" << n;
+        EXPECT_EQ(bits(moments.maxSeen()), bits(kept.maxSeen()))
+            << "n=" << n;
+    }
+}
+
+TEST(SampleSetMoments, QuantileOfMomentsOnlySetIsFatal)
+{
+    // No silent 0: a set that keeps no samples has no order
+    // statistics, empty or not.
+    SampleSet empty(SampleSet::kMomentsOnly);
+    EXPECT_DEATH(empty.quantile(0.5), "keeps moments only");
+    SampleSet s(SampleSet::kMomentsOnly);
+    for (double x : {1.0, 2.0, 3.0})
+        s.add(x);
+    s.reserve(1024);
+    s.seal();
+    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
+    EXPECT_DEATH(s.quantile(0.5), "keeps moments only");
 }
 
 TEST(SampleSetQuantile, ConcurrentConstReadsAreSafe)
