@@ -53,6 +53,18 @@ StorageArray::StorageArray(sim::Simulator &simul,
     if (params_.layout == Layout::Concat)
         sim::simAssert(params_.disks == 1,
                        "array: Concat maps everything onto one disk");
+    // Requests carry their source device in 16 bits, so a wider
+    // device table has entries no request can name.
+    std::size_t devices = 0;
+    if (params_.layout == Layout::PassThrough)
+        devices = params_.disks;
+    else if (params_.layout == Layout::Concat)
+        devices = params_.deviceSectors.size();
+    if (devices > workload::kMaxDevices)
+        sim::fatal("array: " + std::to_string(devices) +
+                   " traced devices exceed the 16-bit device id "
+                   "limit of " +
+                   std::to_string(workload::kMaxDevices));
     // A PDES run is open loop: a completion callback would submit new
     // work from the array phase, inside the current window.
     if (bridge_ != nullptr)

@@ -545,8 +545,8 @@ DiskDrive::listUnlink(PendingList &list, std::uint32_t slot)
     }
 }
 
-std::uint64_t
-DiskDrive::installActive(Active active)
+std::uint32_t
+DiskDrive::acquireActive()
 {
     std::uint32_t slot;
     if (activeFree_.empty()) {
@@ -558,11 +558,17 @@ DiskDrive::installActive(Active active)
     }
     Active &dst = activePool_[slot];
     const std::uint32_t gen = dst.gen + 1;
-    dst = std::move(active);
+    dst = Active{};
     dst.gen = gen;
     dst.inUse = true;
     ++activeCount_;
-    return (static_cast<std::uint64_t>(gen) << 32) |
+    return slot;
+}
+
+std::uint64_t
+DiskDrive::activeId(std::uint32_t slot) const
+{
+    return (static_cast<std::uint64_t>(activePool_[slot].gen) << 32) |
         (static_cast<std::uint64_t>(slot) + 1);
 }
 
@@ -849,7 +855,11 @@ DiskDrive::tryDispatch()
                        "disk: scheduler chose busy arm");
 
         const std::uint32_t chosen = choice.slot;
-        Active active;
+        // Build the in-flight record in its arena slot. Taking the
+        // slot is the only step before startService that can grow
+        // activePool_, so the reference stays valid until then.
+        const std::uint32_t slot = acquireActive();
+        Active &active = activePool_[slot];
         {
             const Pending &p = pendingPool_[chosen];
             active.req = p.req;
@@ -896,14 +906,15 @@ DiskDrive::tryDispatch()
                 }
             }
         }
-        startService(std::move(active));
+        startService(slot);
     }
 }
 
 void
-DiskDrive::startService(Active active)
+DiskDrive::startService(std::uint32_t slot)
 {
     const sim::Tick now = sim_.now();
+    Active &active = activePool_[slot];
     active.dispatchTime = now;
     Arm &arm = arms_[active.arm];
     arm.busy = true;
@@ -931,7 +942,7 @@ DiskDrive::startService(Active active)
     const sim::Tick seek_ticks = active.seekTicks;
     active.phase = Phase::Seeking;
     active.doneFloor = now + seek_ticks + minTransferFloorTicks();
-    const std::uint64_t id = installActive(std::move(active));
+    const std::uint64_t id = activeId(slot);
 
     if (needs_motion) {
         ++activeSeeks_;
@@ -1152,6 +1163,8 @@ void
 DiskDrive::completeActive(std::uint64_t id)
 {
     const sim::Tick now = sim_.now();
+    // Move the record out: the completion callbacks below can
+    // re-enter dispatch, which reuses (or grows past) this slot.
     Active active = std::move(activeAt(id));
     releaseActive(id);
     verify::onDiskServiceBound(telemetryId_, active.doneFloor, now);

@@ -597,7 +597,8 @@ class DiskDrive
 
     std::uint32_t totalSectors(const Active &active) const;
     void tryDispatch();
-    void startService(Active active);
+    /** Start the access built in in-flight slot @p slot. */
+    void startService(std::uint32_t slot);
     void onSeekDone(std::uint64_t id);
     void startRotation(std::uint64_t id);
     void onRotationDone(std::uint64_t id);
@@ -613,8 +614,11 @@ class DiskDrive
     void listPushBack(PendingList &list, std::uint32_t slot);
     void listUnlink(PendingList &list, std::uint32_t slot);
 
-    /** Arena plumbing for in-flight requests. */
-    std::uint64_t installActive(Active active);
+    /** Arena plumbing for in-flight requests. acquireActive takes
+     *  a free slot (growing the arena if none), resets it to a fresh
+     *  record with a new generation, and returns its index. */
+    std::uint32_t acquireActive();
+    std::uint64_t activeId(std::uint32_t slot) const;
     Active &activeAt(std::uint64_t id);
     void releaseActive(std::uint64_t id);
 

@@ -169,6 +169,7 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
     simAssert(theta >= 0.0, "ZipfSampler: theta must be >= 0");
     zetan_ = zetaPartial(n, theta);
     zeta2_ = zetaPartial(2, theta);
+    rank1Bound_ = 1.0 + std::pow(0.5, theta);
     alpha_ = (theta == 1.0) ? 0.0 : 1.0 / (1.0 - theta);
     eta_ = (theta == 1.0)
         ? 0.0
@@ -200,7 +201,7 @@ ZipfSampler::sample(Rng &rng) const
     const double uz = u * zetan_;
     if (uz < 1.0)
         return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_))
+    if (uz < rank1Bound_)
         return 1;
     const double k = static_cast<double>(n_) *
         std::pow(eta_ * u - eta_ + 1.0, alpha_);

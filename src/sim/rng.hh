@@ -113,6 +113,8 @@ class ZipfSampler
     double zetan_;
     double eta_;
     double zeta2_;
+    /** 1 + 0.5^theta: draws with u * zetan below it are rank 0 or 1. */
+    double rank1Bound_;
 };
 
 } // namespace sim

@@ -177,6 +177,9 @@ generateCommercial(const CommercialParams &params)
     sim::simAssert(params.requests > 0, "commercial: empty trace");
     sim::simAssert(params.intensityScale > 0.0,
                    "commercial: bad intensity");
+    sim::simAssert(model.disks <= kMaxDevices,
+                   "commercial: device count exceeds the 16-bit "
+                   "device id range");
 
     sim::Rng rng(params.seed ? params.seed : defaultSeed(params.kind));
     const std::uint64_t device_sectors = static_cast<std::uint64_t>(
@@ -242,7 +245,7 @@ generateCommercial(const CommercialParams &params)
         req.id = i;
         req.arrival = sim::msToTicks(clock_ms);
         req.device =
-            static_cast<std::uint32_t>(dev_sampler.sample(rng));
+            static_cast<std::uint16_t>(dev_sampler.sample(rng));
         req.isRead = rng.chance(model.readFraction);
         req.sectors = static_cast<std::uint32_t>(rng.uniformInt(
             static_cast<std::int64_t>(model.minSectors),

@@ -31,7 +31,7 @@ summarize(const Trace &trace)
         if (req.isRead)
             ++s.readRequests;
         s.totalBytes += req.bytes();
-        max_dev = std::max(max_dev, req.device);
+        max_dev = std::max<std::uint32_t>(max_dev, req.device);
     }
     s.devices = max_dev + 1;
     const sim::Tick span = trace.back().arrival - trace.front().arrival;

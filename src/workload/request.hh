@@ -21,14 +21,22 @@
 namespace idp {
 namespace workload {
 
-/** One logical I/O request. */
+/** Device ids are 16-bit: the paper's widest system has 24 disks. */
+constexpr std::uint32_t kMaxDevices = 1u << 16;
+
+/**
+ * One logical I/O request. Fields are ordered widest first so the
+ * record packs into 32 bytes with no padding: every trace, queued
+ * request and fan-out buffer holds these by value.
+ */
 struct IoRequest
 {
     std::uint64_t id = 0;
-    sim::Tick arrival = 0;   ///< issue time
-    std::uint32_t device = 0; ///< source device in the traced system
-    geom::Lba lba = 0;        ///< LBA within that device
+    sim::Tick arrival = 0; ///< issue time
+    geom::Lba lba = 0;     ///< LBA within the source device
     std::uint32_t sectors = 1;
+    /** Source device in the traced system, < kMaxDevices. */
+    std::uint16_t device = 0;
     bool isRead = true;
     /**
      * Background work (scrubbing, defragmentation, archival scans —
@@ -44,6 +52,8 @@ struct IoRequest
         return static_cast<std::uint64_t>(sectors) * geom::kSectorBytes;
     }
 };
+static_assert(sizeof(IoRequest) == 32,
+              "IoRequest must stay a 32-byte record");
 
 /** A full trace: requests sorted by arrival time. */
 using Trace = std::vector<IoRequest>;

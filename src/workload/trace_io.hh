@@ -21,6 +21,11 @@
  * accepts it, with those historical semantics, so existing trace
  * files keep working. Headerless input is treated as v1, matching
  * the SPC/UMass-style traces the paper's workloads come from.
+ *
+ * Every numeric column is an unsigned decimal (digits only, no sign)
+ * within its field's range; device ids are 0-65535. Requests must
+ * have at least one sector and non-decreasing arrivals. Any other
+ * line is fatal, and the error names its line number.
  */
 
 #ifndef IDP_WORKLOAD_TRACE_IO_HH
@@ -41,9 +46,10 @@ void writeTrace(std::ostream &os, const Trace &trace);
 void writeTraceFile(const std::string &path, const Trace &trace);
 
 /**
- * Parse a trace from @p is. Fatal on malformed input. v2 traces
- * round-trip exactly; v1 (or headerless) traces get microsecond
- * arrivals and sequentially reassigned ids, as they always did.
+ * Parse a trace from @p is. Fatal on malformed input, with the line
+ * number. v2 traces round-trip exactly; v1 (or headerless) traces get
+ * microsecond arrivals and sequentially reassigned ids, as they
+ * always did.
  */
 Trace readTrace(std::istream &is);
 

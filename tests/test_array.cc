@@ -125,6 +125,20 @@ TEST(ArrayConcat, RejectsOversizedDevices)
         "Concat devices exceed disk capacity");
 }
 
+TEST(ArrayConcat, RejectsMoreDevicesThan16BitIdsName)
+{
+    // The check runs before any drive is built, so this is cheap.
+    ArrayParams p;
+    p.layout = Layout::Concat;
+    p.disks = 1;
+    p.drive = smallDrive();
+    p.deviceSectors.assign(workload::kMaxDevices + 1, 8);
+    sim::Simulator simul;
+    EXPECT_EXIT({ StorageArray arr(simul, p); },
+                ::testing::ExitedWithCode(1),
+                "65537 traced devices exceed the 16-bit device id limit");
+}
+
 TEST(ArrayRaid0, SplitsAcrossStripeBoundary)
 {
     ArrayParams p;
