@@ -14,6 +14,7 @@
 
 #include <iostream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "exec/sim_sweep.hh"
@@ -24,7 +25,9 @@ main()
     using namespace idp;
     using workload::Commercial;
 
-    const std::uint64_t requests = core::benchRequestCount(150000);
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
+    const std::uint64_t requests = env.benchRequests(150000);
     std::cout << "=== Ablation: on-board cache (Section 7.1) ===\n"
               << "requests per workload: " << requests << "\n\n";
 
@@ -58,8 +61,10 @@ main()
             points.push_back({&trace, wb});
         }
     }
+    for (exec::SimPoint &point : points)
+        env.apply(point.config);
     const std::vector<core::RunResult> runs =
-        exec::runSimPoints(points);
+        exec::runSimPoints(points, env.threads);
 
     std::size_t next = 0;
     for (Commercial kind : workload::allCommercial()) {

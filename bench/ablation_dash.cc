@@ -20,6 +20,7 @@
 
 #include <iostream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "exec/sim_sweep.hh"
@@ -32,7 +33,9 @@ main()
     using namespace idp;
     using workload::Commercial;
 
-    const std::uint64_t requests = core::benchRequestCount(200000);
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
+    const std::uint64_t requests = env.benchRequests(200000);
     std::cout << "=== Ablation: DASH dimensions (Websearch) ===\n"
               << "requests: " << requests << "\n\n";
 
@@ -52,6 +55,7 @@ main()
         config.array.drive.dash.surfaces = surfaces;
         config.array.drive.normalize();
         config.name = name;
+        env.apply(config);
         configs.push_back(config);
     };
 
@@ -64,7 +68,7 @@ main()
     add_variant("D1A1S2H1", 1, 1, 2);
 
     const std::vector<core::RunResult> rows =
-        exec::runSystems(trace, configs);
+        exec::runSystems(trace, configs, env.threads);
 
     core::printSummary(std::cout, "DASH design points", rows);
     core::printRotPdf(std::cout, "Rotational-latency PDF", rows);

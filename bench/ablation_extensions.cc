@@ -13,6 +13,7 @@
 
 #include <iostream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "exec/sim_sweep.hh"
@@ -23,7 +24,9 @@ main()
     using namespace idp;
     using workload::Commercial;
 
-    const std::uint64_t requests = core::benchRequestCount(200000);
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
+    const std::uint64_t requests = env.benchRequests(200000);
     std::cout << "=== Ablation: multi-motion / multi-channel "
                  "extensions ===\nrequests per workload: "
               << requests << "\n\n";
@@ -63,8 +66,10 @@ main()
             points.push_back({&trace, both});
         }
     }
+    for (exec::SimPoint &point : points)
+        env.apply(point.config);
     const std::vector<core::RunResult> runs =
-        exec::runSimPoints(points);
+        exec::runSimPoints(points, env.threads);
 
     std::size_t next = 0;
     for (Commercial kind : workload::allCommercial()) {

@@ -14,6 +14,7 @@
 
 #include <iostream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "exec/sim_sweep.hh"
@@ -27,7 +28,9 @@ main()
     using namespace idp;
     using stats::fmt;
 
-    const std::uint64_t requests = core::benchRequestCount(100000);
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
+    const std::uint64_t requests = env.benchRequests(100000);
     std::cout << "=== Ablation: media faults and degraded arrays ===\n"
               << "requests: " << requests << "\n\n";
 
@@ -53,10 +56,11 @@ main()
             retry_rates.push_back(rate);
             retry_configs.push_back(core::makeRaid0System(
                 arms == 1 ? "conventional" : "SA(4)", drive, 1));
+            env.apply(retry_configs.back());
         }
     }
     const std::vector<core::RunResult> retry_runs =
-        exec::runSystems(trace, retry_configs);
+        exec::runSystems(trace, retry_configs, env.threads);
     for (std::size_t i = 0; i < retry_runs.size(); ++i) {
         const core::RunResult &r = retry_runs[i];
         retry_table.addRow({r.system, fmt(retry_rates[i], 2),
@@ -86,10 +90,10 @@ main()
         for (bool degraded : {false, true})
             raid5_points.push_back({arms, degraded});
 
-    exec::SweepRunner runner;
+    exec::SweepRunner runner(env.threads);
     const auto raid5_rows = runner.map(
         raid5_points,
-        [&trace](const Raid5Point &pt, const exec::SweepPoint &)
+        [&trace, &env](const Raid5Point &pt, const exec::SweepPoint &)
             -> std::vector<std::string> {
             sim::Simulator simul;
             array::ArrayParams params;
@@ -99,6 +103,7 @@ main()
             if (pt.arms > 1)
                 params.drive = disk::makeIntraDiskParallel(
                     params.drive, pt.arms);
+            env.apply(params);
             stats::SampleSet resp;
             array::StorageArray arr(
                 simul, params,

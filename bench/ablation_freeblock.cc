@@ -21,6 +21,7 @@
 
 #include <iostream>
 
+#include "config/env.hh"
 #include "disk/disk_drive.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -33,6 +34,8 @@ main()
     using namespace idp;
     using stats::fmt;
 
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
     const std::uint64_t fg_requests = 40000;
     const double fg_inter_ms = 9.0; // moderate foreground load
 
@@ -47,6 +50,7 @@ main()
         disk::DriveSpec spec = disk::barracudaEs750();
         if (arms > 1)
             spec = disk::makeIntraDiskParallel(spec, arms);
+        env.apply(spec);
 
         stats::SampleSet fg_resp;
         disk::DiskDrive drive(

@@ -13,6 +13,7 @@
 
 #include <iostream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "exec/sim_sweep.hh"
@@ -23,7 +24,9 @@ main()
     using namespace idp;
     using workload::Commercial;
 
-    const std::uint64_t requests = core::benchRequestCount(200000);
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
+    const std::uint64_t requests = env.benchRequests(200000);
     std::cout << "=== Ablation: arm angular placement (TPC-C, SA(4)) "
                  "===\nrequests: "
               << requests << "\n\n";
@@ -45,8 +48,11 @@ main()
     clustered.array.drive.armAzimuths = {0.0, 0.0, 0.0, 0.0};
     clustered.name = "clustered (all at 0)";
 
+    std::vector<core::SystemConfig> configs = {even, paired, clustered};
+    for (core::SystemConfig &config : configs)
+        env.apply(config);
     const std::vector<core::RunResult> rows =
-        exec::runSystems(trace, {even, paired, clustered});
+        exec::runSystems(trace, configs, env.threads);
 
     core::printSummary(std::cout, "Placement of 4 arm assemblies",
                        rows);

@@ -23,6 +23,7 @@
 
 #include <iostream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "exec/sim_sweep.hh"
@@ -33,7 +34,9 @@ main()
     using namespace idp;
     using workload::Commercial;
 
-    const std::uint64_t requests = core::benchRequestCount(150000);
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
+    const std::uint64_t requests = env.benchRequests(150000);
     std::cout << "=== Ablation: power-management knobs vs intra-disk "
                  "parallelism (Financial) ===\nrequests: "
               << requests << "\n\n";
@@ -57,8 +60,10 @@ main()
     configs.push_back(core::makeHcsdSystem(Commercial::Financial));
     configs.push_back(core::makeSaSystem(Commercial::Financial, 3));
 
+    for (core::SystemConfig &config : configs)
+        env.apply(config);
     const std::vector<core::RunResult> rows =
-        exec::runSystems(trace, configs);
+        exec::runSystems(trace, configs, env.threads);
 
     core::printSummary(std::cout, "Knobs vs parallelism", rows);
     core::printResponseCdf(std::cout, "Response-time CDF", rows);

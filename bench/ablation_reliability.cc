@@ -17,6 +17,7 @@
 
 #include <iostream>
 
+#include "config/env.hh"
 #include "disk/disk_drive.hh"
 #include "reliability/reliability.hh"
 #include "sim/event_queue.hh"
@@ -29,6 +30,9 @@ main()
 {
     using namespace idp;
     using stats::fmt;
+
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
 
     // --- analytic half -------------------------------------------
     reliability::ReliabilityModel model{reliability::ReliabilityParams{}};
@@ -51,6 +55,7 @@ main()
     sim::Simulator simul;
     disk::DriveSpec spec = disk::makeIntraDiskParallel(
         disk::barracudaEs750(), 4);
+    env.apply(spec);
 
     // Four phases; p90 per phase, split by completion time.
     const double inter_ms = 8.0;

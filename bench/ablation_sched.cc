@@ -15,6 +15,7 @@
 
 #include <iostream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "exec/sim_sweep.hh"
@@ -25,7 +26,9 @@ main()
     using namespace idp;
     using workload::Commercial;
 
-    const std::uint64_t requests = core::benchRequestCount(200000);
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
+    const std::uint64_t requests = env.benchRequests(200000);
     std::cout << "=== Ablation: scheduling policy (Websearch) ===\n"
               << "requests: " << requests << "\n\n";
 
@@ -47,10 +50,11 @@ main()
             config.name = (arms == 1 ? std::string("HC-SD/")
                                      : std::string("SA(4)/")) +
                 sched::policyToString(policy);
+            env.apply(config);
             configs.push_back(config);
         }
         const std::vector<core::RunResult> rows =
-            exec::runSystems(trace, configs);
+            exec::runSystems(trace, configs, env.threads);
         core::printSummary(std::cout,
                            arms == 1
                                ? "Single-actuator drive (HC-SD)"

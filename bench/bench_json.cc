@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <string>
 #include <thread>
@@ -91,12 +90,8 @@ BenchReport::add(const std::string &name, double value,
 }
 
 std::string
-BenchReport::write() const
+BenchReport::write(const std::string &dir) const
 {
-    std::string dir = ".";
-    if (const char *env = std::getenv("IDP_BENCH_OUT"))
-        if (*env != '\0')
-            dir = env;
     const std::string path = dir + "/BENCH_" + bench_ + ".json";
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -125,13 +120,6 @@ std::uint64_t
 allocCount()
 {
     return g_alloc_count.load(std::memory_order_relaxed);
-}
-
-bool
-smokeMode()
-{
-    const char *env = std::getenv("IDP_BENCH_SMOKE");
-    return env != nullptr && std::strcmp(env, "1") == 0;
 }
 
 } // namespace benchjson

@@ -53,10 +53,10 @@ class BenchReport
              const std::string &unit);
 
     /**
-     * Write BENCH_<bench>.json into $IDP_BENCH_OUT (or the working
-     * directory when unset). @return the path written.
+     * Write BENCH_<bench>.json into @p dir (mains pass IDP_BENCH_OUT).
+     * @return the path written.
      */
-    std::string write() const;
+    std::string write(const std::string &dir) const;
 
   private:
     std::string bench_;
@@ -69,9 +69,6 @@ class BenchReport
  * region's allocation count.
  */
 std::uint64_t allocCount();
-
-/** True when IDP_BENCH_SMOKE=1: run tiny sizes for CI smoke. */
-bool smokeMode();
 
 } // namespace benchjson
 } // namespace idp

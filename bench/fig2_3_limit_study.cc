@@ -19,6 +19,7 @@
 
 #include <iostream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/csv_export.hh"
 #include "core/report.hh"
@@ -30,7 +31,9 @@ main()
     using namespace idp;
     using workload::Commercial;
 
-    const std::uint64_t requests = core::benchRequestCount(250000);
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
+    const std::uint64_t requests = env.benchRequests(250000);
 
     std::cout << "=== Limit study: MD vs HC-SD (Figures 2 and 3) ===\n"
               << "requests per workload: " << requests << "\n\n";
@@ -64,14 +67,17 @@ main()
                   << " ms, mean size "
                   << stats::fmt(summary.meanSizeKB, 1) << " KB ---\n";
 
-        const core::RunResult md =
-            core::runTrace(trace, core::makeMdSystem(kind));
-        const core::RunResult hcsd =
-            core::runTrace(trace, core::makeHcsdSystem(kind));
+        core::SystemConfig md_system = core::makeMdSystem(kind);
+        core::SystemConfig hcsd_system = core::makeHcsdSystem(kind);
+        env.apply(md_system);
+        env.apply(hcsd_system);
+        const core::RunResult md = core::runTrace(trace, md_system);
+        const core::RunResult hcsd = core::runTrace(trace, hcsd_system);
 
         std::vector<core::RunResult> pair = {md, hcsd};
-        core::maybeExportCsv(
-            "fig2_" + workload::commercialName(kind), pair);
+        core::maybeExportCsv(env.csvDir,
+                             "fig2_" + workload::commercialName(kind),
+                             pair);
         core::printResponseCdf(
             std::cout,
             "Figure 2 (" + workload::commercialName(kind) +

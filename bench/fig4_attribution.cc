@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "stats/table.hh"
@@ -30,21 +31,25 @@ namespace {
 using namespace idp;
 
 core::RunResult
-runTraced(const workload::Trace &trace, const core::SystemConfig &config)
+runTraced(const config::Env &env, const workload::Trace &trace,
+          core::SystemConfig config)
 {
-    telemetry::TraceOptions topts;
-    topts.enabled = true;
-    return core::runTrace(trace, config, topts);
+    env.apply(config);
+    config.tracing = telemetry::TraceOptions{};
+    config.tracing.enabled = true;
+    return core::runTrace(trace, config);
 }
 
 core::RunResult
-runScaled(const workload::Trace &trace, workload::Commercial kind,
-          double seek_scale, double rot_scale, const std::string &name)
+runScaled(const config::Env &env, const workload::Trace &trace,
+          workload::Commercial kind, double seek_scale, double rot_scale,
+          const std::string &name)
 {
     core::SystemConfig config = core::makeHcsdSystem(kind);
     config.array.drive.seekScale = seek_scale;
     config.array.drive.rotScale = rot_scale;
     config.name = name;
+    env.apply(config);
     return core::runTrace(trace, config);
 }
 
@@ -62,7 +67,9 @@ main()
         return 0;
     }
 
-    const std::uint64_t requests = core::benchRequestCount(100000);
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
+    const std::uint64_t requests = env.benchRequests(100000);
     std::cout << "=== HC-SD bottleneck, measured from spans "
                  "(Figure 4) ===\n"
               << "requests per workload: " << requests << "\n\n";
@@ -78,9 +85,9 @@ main()
         const std::string name = workload::commercialName(kind);
 
         const core::RunResult md =
-            runTraced(trace, core::makeMdSystem(kind));
+            runTraced(env, trace, core::makeMdSystem(kind));
         const core::RunResult hcsd =
-            runTraced(trace, core::makeHcsdSystem(kind));
+            runTraced(env, trace, core::makeHcsdSystem(kind));
 
         core::printAttribution(
             std::cout, "Attribution (" + name + ")", {md, hcsd});
@@ -102,9 +109,9 @@ main()
         // large sequential transfers leave both knobs near a wash (the
         // same deviation fig4_bottleneck documents in EXPERIMENTS.md).
         const core::RunResult no_rot =
-            runScaled(trace, kind, 1.0, 0.0, "R=0");
+            runScaled(env, trace, kind, 1.0, 0.0, "R=0");
         const core::RunResult no_seek =
-            runScaled(trace, kind, 0.0, 1.0, "S=0");
+            runScaled(env, trace, kind, 0.0, 1.0, "S=0");
         const double gain_rot =
             hcsd.meanResponseMs - no_rot.meanResponseMs;
         const double gain_seek =

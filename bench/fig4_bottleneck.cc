@@ -14,6 +14,7 @@
 
 #include <iostream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 
@@ -22,13 +23,15 @@ namespace {
 using namespace idp;
 
 core::RunResult
-runScaled(const workload::Trace &trace, workload::Commercial kind,
-          double seek_scale, double rot_scale, const std::string &name)
+runScaled(const config::Env &env, const workload::Trace &trace,
+          workload::Commercial kind, double seek_scale, double rot_scale,
+          const std::string &name)
 {
     core::SystemConfig config = core::makeHcsdSystem(kind);
     config.array.drive.seekScale = seek_scale;
     config.array.drive.rotScale = rot_scale;
     config.name = name;
+    env.apply(config);
     return core::runTrace(trace, config);
 }
 
@@ -40,7 +43,9 @@ main()
     using namespace idp;
     using workload::Commercial;
 
-    const std::uint64_t requests = core::benchRequestCount(250000);
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
+    const std::uint64_t requests = env.benchRequests(250000);
     std::cout << "=== Bottleneck analysis of HC-SD (Figure 4) ===\n"
               << "requests per workload: " << requests << "\n\n";
 
@@ -52,16 +57,17 @@ main()
         const std::string name = workload::commercialName(kind);
 
         const core::RunResult hcsd =
-            runScaled(trace, kind, 1.0, 1.0, "HC-SD");
-        const core::RunResult md =
-            core::runTrace(trace, core::makeMdSystem(kind));
+            runScaled(env, trace, kind, 1.0, 1.0, "HC-SD");
+        core::SystemConfig md_system = core::makeMdSystem(kind);
+        env.apply(md_system);
+        const core::RunResult md = core::runTrace(trace, md_system);
 
         // Top row: seek-time scaling.
         std::vector<core::RunResult> seek_row = {
             hcsd,
-            runScaled(trace, kind, 0.5, 1.0, "(1/2)S"),
-            runScaled(trace, kind, 0.25, 1.0, "(1/4)S"),
-            runScaled(trace, kind, 0.0, 1.0, "S=0"),
+            runScaled(env, trace, kind, 0.5, 1.0, "(1/2)S"),
+            runScaled(env, trace, kind, 0.25, 1.0, "(1/4)S"),
+            runScaled(env, trace, kind, 0.0, 1.0, "S=0"),
             md,
         };
         core::printResponseCdf(std::cout,
@@ -72,9 +78,9 @@ main()
         // Bottom row: rotational-latency scaling.
         std::vector<core::RunResult> rot_row = {
             hcsd,
-            runScaled(trace, kind, 1.0, 0.5, "(1/2)R"),
-            runScaled(trace, kind, 1.0, 0.25, "(1/4)R"),
-            runScaled(trace, kind, 1.0, 0.0, "R=0"),
+            runScaled(env, trace, kind, 1.0, 0.5, "(1/2)R"),
+            runScaled(env, trace, kind, 1.0, 0.25, "(1/4)R"),
+            runScaled(env, trace, kind, 1.0, 0.0, "R=0"),
             md,
         };
         core::printResponseCdf(std::cout,

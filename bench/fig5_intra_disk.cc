@@ -16,6 +16,7 @@
 
 #include <iostream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/csv_export.hh"
 #include "core/report.hh"
@@ -26,7 +27,9 @@ main()
     using namespace idp;
     using workload::Commercial;
 
-    const std::uint64_t requests = core::benchRequestCount(250000);
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
+    const std::uint64_t requests = env.benchRequests(250000);
     std::cout << "=== Intra-disk parallelism: HC-SD-SA(n) (Figure 5) "
                  "===\nrequests per workload: "
               << requests << "\n\n";
@@ -37,16 +40,19 @@ main()
         wp.requests = requests;
         const auto trace = workload::generateCommercial(wp);
 
-        std::vector<core::RunResult> results;
+        std::vector<core::SystemConfig> systems;
         for (std::uint32_t arms = 1; arms <= 4; ++arms)
-            results.push_back(core::runTrace(
-                trace, core::makeSaSystem(kind, arms)));
-        results.push_back(
-            core::runTrace(trace, core::makeMdSystem(kind)));
+            systems.push_back(core::makeSaSystem(kind, arms));
+        systems.push_back(core::makeMdSystem(kind));
+        std::vector<core::RunResult> results;
+        for (core::SystemConfig &system : systems) {
+            env.apply(system);
+            results.push_back(core::runTrace(trace, system));
+        }
         results[0].system = "HC-SD"; // SA(1) == HC-SD
 
         const std::string name = workload::commercialName(kind);
-        core::maybeExportCsv("fig5_" + name, results);
+        core::maybeExportCsv(env.csvDir, "fig5_" + name, results);
         core::printResponseCdf(std::cout,
                                "Figure 5 (" + name +
                                    "): response-time CDF",

@@ -12,6 +12,7 @@
 
 #include <iostream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "exec/sim_sweep.hh"
@@ -22,7 +23,9 @@ main()
     using namespace idp;
     using workload::Commercial;
 
-    const std::uint64_t requests = core::benchRequestCount(200000);
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
+    const std::uint64_t requests = env.benchRequests(200000);
     std::cout << "=== Reduced-RPM intra-disk designs vs MD (Figure 7) "
                  "===\nrequests per workload: "
               << requests << "\n\n";
@@ -59,8 +62,10 @@ main()
         for (auto &config : configs)
             points.push_back({&traces[t], config});
     }
+    for (exec::SimPoint &point : points)
+        env.apply(point.config);
     const std::vector<core::RunResult> runs =
-        exec::runSimPoints(points);
+        exec::runSimPoints(points, env.threads);
 
     std::size_t next = 0;
     for (Commercial kind : kinds) {

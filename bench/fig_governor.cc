@@ -38,6 +38,7 @@
 
 #include "array/storage_array.hh"
 #include "bench_json.hh"
+#include "config/env.hh"
 #include "core/closed_loop.hh"
 #include "core/experiment.hh"
 #include "power/governor.hh"
@@ -99,7 +100,7 @@ governorParams(double slo_p99_ms, double busy_high, double busy_low,
 }
 
 core::SystemConfig
-systemFor(std::uint32_t static_rpm, bool governed,
+systemFor(const config::Env &env, std::uint32_t static_rpm, bool governed,
           const power::GovernorParams &gov)
 {
     core::SystemConfig config = core::makeRaid0System(
@@ -107,6 +108,7 @@ systemFor(std::uint32_t static_rpm, bool governed,
         memberDrive(static_rpm), 1);
     if (governed)
         config.array.governor = gov;
+    env.apply(config);
     config.pdesWorkers = 0; // study points run serial; the parity
     return config;          // block re-runs governed under the engine
 }
@@ -266,14 +268,16 @@ runDiurnal(const core::SystemConfig &config, std::uint64_t tenants,
 // ---------------------------------------------------------------
 
 std::uint64_t
-governorSteadyAllocs()
+governorSteadyAllocs(const config::Env &env)
 {
     sim::Simulator simul;
     // Pre-size the calendar: the event slab / free-list / heap grow
     // geometrically on first use, and a late doubling would be
     // misattributed to the governor path under test.
     simul.reserveEvents(64);
-    disk::DiskDrive drive(simul, memberDrive(7200),
+    disk::DriveSpec spec = memberDrive(7200);
+    env.apply(spec);
+    disk::DiskDrive drive(simul, spec,
                           [](const workload::IoRequest &, sim::Tick,
                              const disk::ServiceInfo &) {});
     power::GovernorParams g = governorParams(50.0, 0.5, 0.2);
@@ -378,7 +382,9 @@ reportFamily(benchjson::BenchReport &report, stats::TextTable &table,
 int
 main()
 {
-    const bool smoke = benchjson::smokeMode();
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
+    const bool smoke = env.benchSmoke;
     std::cout << "=== Online energy governor vs static RPM points "
                  "===\n\n";
 
@@ -410,9 +416,9 @@ main()
             governorParams(fam.sloMs, 0.5, 0.2);
         for (std::uint32_t rpm : kRpmPoints)
             fam.statics.push_back(
-                runSquare(systemFor(rpm, false, gov), trace));
+                runSquare(systemFor(env, rpm, false, gov), trace));
         fam.governed =
-            runSquare(systemFor(7200, true, gov), trace);
+            runSquare(systemFor(env, 7200, true, gov), trace);
         reportFamily(report, table, fam, governor_ok,
                      best_savings_pct);
 
@@ -423,7 +429,7 @@ main()
         // serial governed run to the byte at every worker count.
         pdes_matches = true;
         for (int w : {1, 4, 8}) {
-            core::SystemConfig pc = systemFor(7200, true, gov);
+            core::SystemConfig pc = systemFor(env, 7200, true, gov);
             pc.pdesWorkers = w;
             const PointResult r = runSquare(pc, trace);
             pdes_matches = pdes_matches &&
@@ -450,9 +456,9 @@ main()
             governorParams(fam.sloMs, 0.5, 0.2);
         for (std::uint32_t rpm : kRpmPoints)
             fam.statics.push_back(
-                runClosed(systemFor(rpm, false, gov), horizon_s));
+                runClosed(systemFor(env, rpm, false, gov), horizon_s));
         fam.governed =
-            runClosed(systemFor(7200, true, gov), horizon_s);
+            runClosed(systemFor(env, 7200, true, gov), horizon_s);
         reportFamily(report, table, fam, governor_ok,
                      best_savings_pct);
     }
@@ -495,9 +501,9 @@ main()
         gov.parkKeepArms = 0;
         for (std::uint32_t rpm : kRpmPoints)
             fam.statics.push_back(
-                runDiurnal(systemFor(rpm, false, gov), tenants,
+                runDiurnal(systemFor(env, rpm, false, gov), tenants,
                            70.0, duration_s));
-        fam.governed = runDiurnal(systemFor(7200, true, gov),
+        fam.governed = runDiurnal(systemFor(env, 7200, true, gov),
                                   tenants, 70.0, duration_s);
         reportFamily(report, table, fam, governor_ok,
                      best_savings_pct);
@@ -505,13 +511,13 @@ main()
 
     table.print(std::cout);
 
-    const std::uint64_t steady_allocs = governorSteadyAllocs();
+    const std::uint64_t steady_allocs = governorSteadyAllocs(env);
     report.add("governor_steady_allocs",
                static_cast<double>(steady_allocs), "allocs");
     report.add("governor_ok", governor_ok ? 1.0 : 0.0, "bool");
     report.add("best_energy_savings_pct", best_savings_pct, "%");
 
-    const std::string path = report.write();
+    const std::string path = report.write(env.benchOut);
     std::cout << "\ngovernor at iso-SLO: "
               << (governor_ok ? "never worse than best static"
                               : "WORSE than best static")

@@ -28,6 +28,7 @@
 #include "array/rebuild.hh"
 #include "array/storage_array.hh"
 #include "bench_json.hh"
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "exec/pdes.hh"
 #include "sim/event_queue.hh"
@@ -70,7 +71,7 @@ enum class Phase
  *  are serially synchronized in both modes (every calendar still at
  *  tick 0), and the rebuild stream serializes its pump ticks. */
 PhaseResult
-runPhase(const ConfigDef &config, Phase phase,
+runPhase(const config::Env &env, const ConfigDef &config, Phase phase,
          const workload::Trace &trace, int pdes_workers = 0)
 {
     std::unique_ptr<exec::PdesRun> prun;
@@ -86,8 +87,11 @@ runPhase(const ConfigDef &config, Phase phase,
         prun->setArray(&arr);
     if (phase != Phase::Healthy)
         arr.failDisk(0);
-    if (phase == Phase::Rebuilding)
-        arr.startRebuild(0, array::RebuildParams{});
+    if (phase == Phase::Rebuilding) {
+        array::RebuildParams rp;
+        env.apply(rp);
+        arr.startRebuild(0, rp);
+    }
     for (const auto &req : trace) {
         workload::IoRequest r = req;
         r.lba = req.lba % (arr.logicalSectors() - 64);
@@ -118,11 +122,12 @@ runPhase(const ConfigDef &config, Phase phase,
 
 /** Healthy-mirror mean response under one RAID-1 replica policy. */
 double
-mirrorMeanMs(ConfigDef config, array::ReplicaPolicy policy,
-             const workload::Trace &trace)
+mirrorMeanMs(const config::Env &env, ConfigDef config,
+             array::ReplicaPolicy policy, const workload::Trace &trace)
 {
     config.params.replica = policy;
-    return runPhase(config, Phase::Healthy, trace).meanMs;
+    env.apply(config.params);
+    return runPhase(env, config, Phase::Healthy, trace).meanMs;
 }
 
 /**
@@ -132,7 +137,8 @@ mirrorMeanMs(ConfigDef config, array::ReplicaPolicy policy,
  * the drives' sample sets keep moments only, so no buffer grows.
  */
 std::uint64_t
-rebuildSteadyAllocs(const ConfigDef &config, int pdes_workers = 0)
+rebuildSteadyAllocs(const config::Env &env, const ConfigDef &config,
+                    int pdes_workers = 0)
 {
     std::unique_ptr<exec::PdesRun> prun;
     if (pdes_workers > 0)
@@ -158,6 +164,7 @@ rebuildSteadyAllocs(const ConfigDef &config, int pdes_workers = 0)
         if (chunk == (3 * total) / 4)
             end_allocs = benchjson::allocCount();
     };
+    env.apply(rp);
     arr.startRebuild(0, rp);
     if (prun)
         prun->run();
@@ -171,9 +178,11 @@ rebuildSteadyAllocs(const ConfigDef &config, int pdes_workers = 0)
 int
 main()
 {
-    const bool smoke = benchjson::smokeMode();
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
+    const bool smoke = env.benchSmoke;
     const std::uint64_t requests =
-        core::benchRequestCount(smoke ? 2000 : 25000);
+        env.benchRequests(smoke ? 2000 : 25000);
     std::cout << "=== Failure lifecycle: healthy / degraded / "
                  "rebuilding at iso-capacity ===\nrequests per run: "
               << requests << "\n\n";
@@ -203,6 +212,8 @@ main()
     configs[2].params.drive =
         disk::enterpriseDrive(raid5_gb, 10000, 2);
     configs[2].params.stripeSectors = 128;
+    for (ConfigDef &config : configs)
+        env.apply(config.params);
 
     workload::SyntheticParams wp;
     wp.requests = requests;
@@ -232,7 +243,8 @@ main()
     for (int c = 0; c < 3; ++c) {
         const ConfigDef &config = configs[c];
         for (int p = 0; p < 3; ++p) {
-            const PhaseResult r = runPhase(config, phases[p], trace);
+            const PhaseResult r =
+                runPhase(env, config, phases[p], trace);
             lifecycle[c][p] = r;
             const std::string prefix =
                 std::string(config.key) + "_" + phase_names[p];
@@ -276,9 +288,9 @@ main()
     double best_gain_pct = -1e9;
     for (int c = 0; c < 2; ++c) {
         const double pos = mirrorMeanMs(
-            configs[c], array::ReplicaPolicy::Positioning, trace);
+            env, configs[c], array::ReplicaPolicy::Positioning, trace);
         const double queue = mirrorMeanMs(
-            configs[c], array::ReplicaPolicy::Queue, trace);
+            env, configs[c], array::ReplicaPolicy::Queue, trace);
         const double gain_pct = (1.0 - pos / queue) * 100.0;
         best_gain_pct = std::max(best_gain_pct, gain_pct);
         report.add(std::string(configs[c].key) + "_pos_mean_ms", pos,
@@ -295,13 +307,13 @@ main()
 
     // Pure rebuild path: no allocations in steady state.
     const std::uint64_t steady_allocs =
-        rebuildSteadyAllocs(configs[0]);
+        rebuildSteadyAllocs(env, configs[0]);
     report.add("rebuild_steady_allocs",
                static_cast<double>(steady_allocs), "allocs");
 
     // Dynamic-horizon engine: the degraded and rebuilding phases of
     // the SA(4) mirror re-run under the conservative engine — the
-    // membership-change cases static lookahead rejected outright.
+    // membership-change cases no constant lookahead window admits.
     // Byte-level phase statistics must match the serial reference at
     // every worker count, and the same 25%-75% chunk window of the
     // pure rebuild must stay allocation-free (the per-round horizon
@@ -309,7 +321,7 @@ main()
     bool pdes_matches = true;
     for (int w : {1, 4, 8}) {
         const PhaseResult rb =
-            runPhase(configs[0], Phase::Rebuilding, trace, w);
+            runPhase(env, configs[0], Phase::Rebuilding, trace, w);
         const PhaseResult &ref = lifecycle[0][2];
         pdes_matches = pdes_matches && rb.meanMs == ref.meanMs &&
             rb.p99Ms == ref.p99Ms &&
@@ -319,7 +331,7 @@ main()
     }
     {
         const PhaseResult dg =
-            runPhase(configs[0], Phase::Degraded, trace, 4);
+            runPhase(env, configs[0], Phase::Degraded, trace, 4);
         const PhaseResult &ref = lifecycle[0][1];
         pdes_matches = pdes_matches && dg.meanMs == ref.meanMs &&
             dg.p99Ms == ref.p99Ms &&
@@ -328,11 +340,11 @@ main()
     report.add("pdes_rebuild_matches_serial",
                pdes_matches ? 1.0 : 0.0, "bool");
     const std::uint64_t pdes_steady_allocs =
-        rebuildSteadyAllocs(configs[0], 4);
+        rebuildSteadyAllocs(env, configs[0], 4);
     report.add("pdes_rebuild_steady_allocs",
                static_cast<double>(pdes_steady_allocs), "allocs");
 
-    const std::string path = report.write();
+    const std::string path = report.write(env.benchOut);
     std::cout << "\nconservation: "
               << (conservation_ok ? "ok" : "VIOLATED")
               << "; rebuild steady-state allocs: " << steady_allocs

@@ -17,6 +17,7 @@
 #include <string>
 
 #include "bench_json.hh"
+#include "config/env.hh"
 #include "disk/disk_drive.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -44,7 +45,8 @@ struct LoadResult
  * window excludes the first half (warmup: pool growth, cache fill).
  */
 LoadResult
-runLoad(std::uint32_t depth, bool prune, std::uint64_t total)
+runLoad(const config::Env &env, std::uint32_t depth, bool prune,
+        std::uint64_t total)
 {
     telemetry::Registry registry;
     telemetry::RegistryScope scope(&registry);
@@ -54,6 +56,7 @@ runLoad(std::uint32_t depth, bool prune, std::uint64_t total)
     spec.sched.policy = sched::Policy::Sptf;
     spec.schedWindow = depth;
     spec.schedPrune = prune;
+    env.apply(spec);
 
     sim::Simulator simul;
     sim::Rng rng(0x5C4ED);
@@ -135,14 +138,16 @@ runLoad(std::uint32_t depth, bool prune, std::uint64_t total)
 int
 main()
 {
-    const bool smoke = idp::benchjson::smokeMode();
+    const idp::config::Env env = idp::config::resolveEnv();
+    idp::sim::setLogThreshold(env.logLevel);
+    const bool smoke = env.benchSmoke;
     idp::benchjson::BenchReport report("sched");
 
     const std::uint32_t depths[] = {16, 64, 256};
     for (const std::uint32_t depth : depths) {
         const std::uint64_t total = smoke ? 2400 : 40000;
-        const LoadResult pruned = runLoad(depth, true, total);
-        const LoadResult full = runLoad(depth, false, total);
+        const LoadResult pruned = runLoad(env, depth, true, total);
+        const LoadResult full = runLoad(env, depth, false, total);
         const std::string q = "_q" + std::to_string(depth);
 
         report.add("sptf_priced_per_dispatch" + q,
@@ -172,6 +177,6 @@ main()
                     pruned.allocs / pruned.dispatches);
     }
 
-    report.write();
+    report.write(env.benchOut);
     return 0;
 }

@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "bench_json.hh"
+#include "config/env.hh"
 #include "disk/disk_drive.hh"
 #include "geom/geometry.hh"
 #include "mech/seek_model.hh"
@@ -25,6 +26,9 @@
 namespace {
 
 using namespace idp;
+
+/** The resolved environment; main sets it before any benchmark runs. */
+config::Env g_env;
 
 void
 BM_EventQueueScheduleFire(benchmark::State &state)
@@ -117,6 +121,7 @@ driveServiceOnce(std::uint32_t arms)
     sim::Simulator simul;
     disk::DriveSpec spec = disk::makeIntraDiskParallel(
         disk::enterpriseDrive(2.0, 10000, 2), arms);
+    g_env.apply(spec);
     std::uint64_t done = 0;
     disk::DiskDrive drive(
         simul, spec,
@@ -187,7 +192,7 @@ emitKernelReport()
 {
     using Clock = std::chrono::steady_clock;
     benchjson::BenchReport report("kernel");
-    const bool smoke = benchjson::smokeMode();
+    const bool smoke = g_env.benchSmoke;
 
     {
         // Raw calendar throughput: schedule/fire 4096-event batches.
@@ -226,6 +231,7 @@ emitKernelReport()
         sim::Simulator simul;
         disk::DriveSpec spec = disk::makeIntraDiskParallel(
             disk::enterpriseDrive(2.0, 10000, 2), 4);
+        g_env.apply(spec);
         std::uint64_t done = 0;
         disk::DiskDrive drive(
             simul, spec,
@@ -281,7 +287,7 @@ emitKernelReport()
                    "allocs/event");
     }
 
-    report.write();
+    report.write(g_env.benchOut);
 }
 
 } // namespace
@@ -289,6 +295,8 @@ emitKernelReport()
 int
 main(int argc, char **argv)
 {
+    g_env = config::resolveEnv();
+    sim::setLogThreshold(g_env.logLevel);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

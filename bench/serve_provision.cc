@@ -30,13 +30,13 @@
  */
 
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_json.hh"
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "disk/drive_config.hh"
 #include "serve/service_loop.hh"
@@ -48,7 +48,9 @@ main()
 {
     using namespace idp;
 
-    const bool smoke = benchjson::smokeMode();
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
+    const bool smoke = env.benchSmoke;
 
     // The serving scenario: long exponential think times so the
     // offered load per tenant is small and the SLO break point falls
@@ -81,15 +83,17 @@ main()
         base.warmupSeconds = 5.0;
         base.wheelGranularityMs = 100.0;
     }
-    base = serve::applyServeEnv(base);
+    env.apply(base);
 
     const disk::DriveSpec conv = disk::barracudaEs750();
     const disk::DriveSpec sa4 = disk::withRpm(
         disk::makeIntraDiskParallel(disk::barracudaEs750(), 4), 4200);
-    const core::SystemConfig systems[] = {
+    core::SystemConfig systems[] = {
         core::makeRaid0System("4x HC-SD", conv, 4),
         core::makeRaid0System("4x HC-SD-SA(4)@4200", sa4, 4),
     };
+    for (core::SystemConfig &system : systems)
+        env.apply(system);
 
     std::cout << "=== Datacenter provisioning: tenants vs p99 SLO "
                  "(serving mode) ===\n"
@@ -115,7 +119,7 @@ main()
 
     const auto t0 = std::chrono::steady_clock::now();
     const std::vector<serve::ServeResult> runs =
-        serve::runServePoints(points);
+        serve::runServePoints(points, env.threads);
     const auto t1 = std::chrono::steady_clock::now();
     const double sweep_secs =
         std::chrono::duration<double>(t1 - t0).count();
@@ -286,11 +290,10 @@ main()
                    static_cast<double>(extra_wakes), "wakes");
     }
 
-    report.write();
+    report.write(env.benchOut);
 
-    if (const char *dir = std::getenv("IDP_CSV_DIR")) {
-        const std::string path =
-            std::string(dir) + "/serve_snapshots.csv";
+    if (!env.csvDir.empty()) {
+        const std::string path = env.csvDir + "/serve_snapshots.csv";
         std::ofstream os(path);
         serve::writeServeSnapshotsCsv(os, runs);
         std::cout << "wrote " << path << "\n";

@@ -21,6 +21,7 @@
 #include <iostream>
 
 #include "array/storage_array.hh"
+#include "config/env.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "stats/table.hh"
@@ -32,6 +33,8 @@ main(int argc, char **argv)
     using namespace idp;
     using stats::fmt;
 
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
     std::uint64_t requests = 80000;
     if (argc > 1 && std::atoll(argv[1]) > 0)
         requests = static_cast<std::uint64_t>(std::atoll(argv[1]));
@@ -47,6 +50,7 @@ main(int argc, char **argv)
     params.disks = 4;
     params.drive =
         disk::makeIntraDiskParallel(disk::barracudaEs750(), 4);
+    env.apply(params);
 
     stats::TimeSeries series(window);
     array::StorageArray arr(

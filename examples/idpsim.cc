@@ -18,6 +18,7 @@
 #include <cstring>
 #include <iostream>
 
+#include "config/env.hh"
 #include "config/sim_config.hh"
 #include "core/report.hh"
 #include "stats/table.hh"
@@ -29,6 +30,8 @@ main(int argc, char **argv)
 {
     using namespace idp;
 
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
     std::string trace_out;
     std::vector<const char *> configs;
     for (int i = 1; i < argc; ++i) {
@@ -53,7 +56,7 @@ main(int argc, char **argv)
         trace_out.clear();
     }
 
-    telemetry::TraceOptions topts = telemetry::TraceOptions::fromEnv();
+    telemetry::TraceOptions topts = env.tracing;
     if (!trace_out.empty())
         topts.enabled = true;
 
@@ -62,6 +65,8 @@ main(int argc, char **argv)
         const config::IniFile ini = config::IniFile::parseFile(path);
         config::Experiment exp = config::experimentFromIni(ini);
         exp.system.name = exp.name;
+        env.apply(exp.system);
+        exp.system.tracing = topts;
 
         const auto summary = workload::summarize(exp.trace);
         std::cout << "[" << exp.name << "] " << summary.requests
@@ -71,7 +76,7 @@ main(int argc, char **argv)
                   << stats::fmt(summary.meanInterArrivalMs, 2)
                   << " ms\n";
 
-        results.push_back(core::runTrace(exp.trace, exp.system, topts));
+        results.push_back(core::runTrace(exp.trace, exp.system));
     }
 
     std::cout << '\n';

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "stats/table.hh"
@@ -25,6 +26,8 @@ main(int argc, char **argv)
     using namespace idp;
     using workload::Commercial;
 
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
     std::uint64_t requests = 100000;
     if (argc > 1 && std::atoll(argv[1]) > 0)
         requests = static_cast<std::uint64_t>(std::atoll(argv[1]));
@@ -45,14 +48,16 @@ main(int argc, char **argv)
               << " KB mean, one request every "
               << stats::fmt(summary.meanInterArrivalMs, 1) << " ms\n\n";
 
-    std::vector<core::RunResult> results;
-    results.push_back(core::runTrace(
-        trace, core::makeMdSystem(Commercial::Websearch)));
-    results.push_back(core::runTrace(
-        trace, core::makeHcsdSystem(Commercial::Websearch)));
+    std::vector<core::SystemConfig> systems = {
+        core::makeMdSystem(Commercial::Websearch),
+        core::makeHcsdSystem(Commercial::Websearch)};
     for (std::uint32_t arms = 2; arms <= 4; ++arms)
-        results.push_back(core::runTrace(
-            trace, core::makeSaSystem(Commercial::Websearch, arms)));
+        systems.push_back(core::makeSaSystem(Commercial::Websearch, arms));
+    std::vector<core::RunResult> results;
+    for (core::SystemConfig &system : systems) {
+        env.apply(system);
+        results.push_back(core::runTrace(trace, system));
+    }
 
     core::printSummary(std::cout, "Consolidation options", results);
     core::printResponseCdf(std::cout, "Response-time CDF", results);

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "cost/cost_model.hh"
 #include "power/thermal.hh"
@@ -29,6 +30,8 @@ main(int argc, char **argv)
     using namespace idp;
     using stats::fmt;
 
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
     double target_ms = 40.0;
     double inter_ms = 9.0;
     std::uint64_t requests = 60000;
@@ -72,8 +75,10 @@ main(int argc, char **argv)
             const std::string name = "SA(" + std::to_string(arms) +
                 ")/" + std::to_string(rpm);
 
-            const auto result = core::runTrace(
-                trace, core::makeRaid0System(name, drive, 1));
+            core::SystemConfig system =
+                core::makeRaid0System(name, drive, 1);
+            env.apply(system);
+            const auto result = core::runTrace(trace, system);
 
             // Operational worst case: one VCM moving + channel.
             const power::PowerModel pm(drive.power);

@@ -11,6 +11,7 @@
 
 #include <iostream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "workload/synthetic.hh"
@@ -19,6 +20,9 @@ int
 main()
 {
     using namespace idp;
+
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
 
     // A moderate random workload: 60% reads, 20% sequential, 3 ms
     // mean inter-arrival (see the paper's Section 7.3 parameters).
@@ -35,12 +39,14 @@ main()
     // Conventional high-capacity drive (Seagate Barracuda ES-like).
     core::SystemConfig conventional = core::makeRaid0System(
         "conventional", disk::barracudaEs750(), 1);
+    env.apply(conventional);
     results.push_back(core::runTrace(trace, conventional));
 
     // The same drive with four independent arm assemblies.
     core::SystemConfig parallel = core::makeRaid0System(
         "4-actuator",
         disk::makeIntraDiskParallel(disk::barracudaEs750(), 4), 1);
+    env.apply(parallel);
     results.push_back(core::runTrace(trace, parallel));
 
     core::printSummary(std::cout, "Single drive, synthetic workload",

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "cost/cost_model.hh"
 #include "exec/sim_sweep.hh"
@@ -26,6 +27,8 @@ main(int argc, char **argv)
 {
     using namespace idp;
 
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
     double inter_arrival_ms = 2.0;
     double slo_ms = 25.0;
     std::uint64_t requests = 100000;
@@ -75,10 +78,11 @@ main(int argc, char **argv)
             candidates.push_back({actuators, disks});
             configs.push_back(
                 core::makeRaid0System(name, drive, disks));
+            env.apply(configs.back());
         }
     }
     const std::vector<core::RunResult> runs =
-        exec::runSystems(trace, configs);
+        exec::runSystems(trace, configs, env.threads);
 
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const core::RunResult &r = runs[i];

@@ -20,6 +20,7 @@
 #include <iostream>
 #include <string>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "stats/table.hh"
@@ -101,7 +102,8 @@ flattenDevices(const workload::Trace &trace)
 }
 
 int
-inspectTrace(const std::string &path, std::uint64_t show)
+inspectTrace(const config::Env &env, const std::string &path,
+             std::uint64_t show)
 {
     if (!telemetry::kCompiledIn) {
         std::cerr << "trace_tools: built with IDP_TELEMETRY=OFF;"
@@ -111,12 +113,12 @@ inspectTrace(const std::string &path, std::uint64_t show)
     const workload::Trace raw = workload::readTraceFile(path);
     const workload::Trace flat = flattenDevices(raw);
 
-    const auto config = core::makeRaid0System(
+    core::SystemConfig config = core::makeRaid0System(
         "inspect", disk::barracudaEs750(), 1);
-    telemetry::TraceOptions topts;
-    topts.enabled = true;
-    const core::RunResult result =
-        core::runTrace(flat, config, topts);
+    env.apply(config);
+    config.tracing = telemetry::TraceOptions{};
+    config.tracing.enabled = true;
+    const core::RunResult result = core::runTrace(flat, config);
 
     // Per-request timeline for the first few retained request ids.
     // Spans are ring-ordered (record order); group them by id.
@@ -163,6 +165,8 @@ inspectTrace(const std::string &path, std::uint64_t show)
 int
 main(int argc, char **argv)
 {
+    const config::Env env = config::resolveEnv();
+    sim::setLogThreshold(env.logLevel);
     if (argc < 2)
         return usage();
     const std::string cmd = argv[1];
@@ -221,10 +225,11 @@ main(int argc, char **argv)
         idp::disk::DriveSpec drive = idp::disk::barracudaEs750();
         if (actuators > 1)
             drive = idp::disk::makeIntraDiskParallel(drive, actuators);
-        const auto config = idp::core::makeRaid0System(
+        idp::core::SystemConfig config = idp::core::makeRaid0System(
             std::to_string(disks) + "x SA(" +
                 std::to_string(actuators) + ")",
             drive, disks);
+        env.apply(config);
 
         const workload::Trace flat = flattenDevices(trace);
         const auto result = idp::core::runTrace(flat, config);
@@ -240,7 +245,8 @@ main(int argc, char **argv)
         const std::uint64_t show = argc > 3
             ? static_cast<std::uint64_t>(std::atoll(argv[3]))
             : 5;
-        return inspectTrace(argv[2], std::max<std::uint64_t>(show, 1));
+        return inspectTrace(env, argv[2],
+                            std::max<std::uint64_t>(show, 1));
     }
 
     return usage();

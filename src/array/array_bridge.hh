@@ -68,33 +68,21 @@ class ArrayBridge
                           const workload::IoRequest &sub, sim::Tick done,
                           const disk::ServiceInfo &info) = 0;
 
-    // -- dynamic-horizon seam (defaults keep static bridges working) --
-
-    /** True when the engine can absorb membership-visible events
-     *  (disk failure, rebuild, governor actuation) by turning their
-     *  ticks into serial synchronization points. */
-    virtual bool supportsBarriers() const { return false; }
-
     /** Register tick @p at as a horizon barrier: no conservative
      *  window may span it, so the event at @p at executes with every
      *  calendar synchronized (a serial step). */
-    virtual void addBarrier(sim::Tick at) { (void)at; }
+    virtual void addBarrier(sim::Tick at) = 0;
 
     /** True while execution is serially synchronized — either outside
      *  the run loop or inside a serial step, where membership-visible
      *  mutations are safe. */
-    virtual bool atSerialStep() const { return true; }
+    virtual bool atSerialStep() const = 0;
 
     /** Rebuild lifecycle: while active, the engine must treat every
      *  coordinator event as a serial step (the rebuild pump reads live
      *  foreground queue depths) and price drive completions into the
      *  horizon (completions re-arm the pump). */
-    virtual void noteRebuildActive(bool active) { (void)active; }
-
-    /** True when the engine derives horizons from per-drive
-     *  completion bounds — the array then enables cache-hit bound
-     *  tracking on its members. */
-    virtual bool wantsCompletionBounds() const { return false; }
+    virtual void noteRebuildActive(bool active) = 0;
 };
 
 } // namespace array

@@ -46,21 +46,20 @@ namespace array {
 
 class StorageArray;
 
-/** Rebuild pacing knobs (environment overrides in parentheses). */
+/** Rebuild pacing knobs. */
 struct RebuildParams
 {
-    /** Sectors reconstructed per chunk = per spare write
-     *  (IDP_REBUILD_CHUNK). 2048 sectors = 1 MB. */
+    /** Sectors reconstructed per chunk = per spare write.
+     *  2048 sectors = 1 MB. */
     std::uint32_t chunkSectors = 2048;
     /**
      * Average reconstruction rate cap in MB/s of rebuilt (spare)
-     * bytes; 0 = unthrottled (IDP_REBUILD_MBPS). The cap is an issue
-     * floor: chunk k+1 is not issued before start + (k+1) * chunk
-     * time at this rate.
+     * bytes; 0 = unthrottled. The cap is an issue floor: chunk k+1 is
+     * not issued before start + (k+1) * chunk time at this rate.
      */
     double rateMBps = 0.0;
     /** Pause the sweep while any surviving member's foreground queue
-     *  is deeper than this (IDP_REBUILD_YIELD). */
+     *  is deeper than this. */
     std::size_t yieldDepth = 4;
     /** Re-check period while yielding, in milliseconds. */
     double yieldMs = 1.0;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <numeric>
 
 #include "array/array_bridge.hh"
@@ -14,27 +12,6 @@
 
 namespace idp {
 namespace array {
-
-namespace {
-
-/** IDP_REPLICA environment override for the RAID-1 read policy. */
-ReplicaPolicy
-replicaPolicyFromEnv(ReplicaPolicy configured)
-{
-    const char *env = std::getenv("IDP_REPLICA");
-    if (env == nullptr || *env == '\0')
-        return configured;
-    if (std::strcmp(env, "queue") == 0)
-        return ReplicaPolicy::Queue;
-    if (std::strcmp(env, "position") == 0 ||
-        std::strcmp(env, "positioning") == 0)
-        return ReplicaPolicy::Positioning;
-    sim::panic(std::string("IDP_REPLICA: unknown policy \"") + env +
-               "\" (use \"queue\" or \"position\")");
-    return configured;
-}
-
-} // namespace
 
 StorageArray::StorageArray(sim::Simulator &simul,
                            const ArrayParams &params,
@@ -112,7 +89,8 @@ StorageArray::StorageArray(sim::Simulator &simul,
         const double phase =
             static_cast<double>(i) * 0.61803398874989485;
         disks_.back()->setSpindlePhase(phase - std::floor(phase));
-        if (bridge_ != nullptr && bridge_->wantsCompletionBounds())
+        // The engine caps its horizons at per-drive completion bounds.
+        if (bridge_ != nullptr)
             disks_.back()->trackCompletionBounds(true);
     }
     ctrLogical_ = telemetry::counterHandle("array.logical_requests");
@@ -125,7 +103,6 @@ StorageArray::StorageArray(sim::Simulator &simul,
     ctrReplicaTies_ = telemetry::counterHandle("array.replica_ties");
     diskSectors_ = disks_[0]->geometry().totalSectors();
     failed_.assign(params_.disks, false);
-    replicaPolicy_ = replicaPolicyFromEnv(params_.replica);
 
     switch (params_.layout) {
       case Layout::PassThrough:
@@ -155,25 +132,18 @@ StorageArray::StorageArray(sim::Simulator &simul,
         break;
     }
 
-    const power::GovernorParams gov =
-        power::applyGovernorEnv(params_.governor);
-    if (gov.enabled) {
-        // The governor mutates spindle speed at runtime. An engine
-        // that supports horizon barriers runs every governor control
-        // tick as a serial synchronization point (all calendars
-        // advanced to the tick), so snapshots and actuations see
-        // exactly the serial-run state; anything less must reject
-        // governed runs up front.
-        sim::simAssert(bridge_ == nullptr ||
-                           bridge_->supportsBarriers(),
-                       "array: energy governor requires a serial run "
-                       "or a barrier-capable engine");
+    if (params_.governor.enabled) {
+        // The governor mutates spindle speed at runtime. The PDES
+        // engine runs every governor control tick as a serial
+        // synchronization point (all calendars advanced to the tick),
+        // so snapshots and actuations see exactly the serial-run
+        // state.
         std::vector<disk::DiskDrive *> members;
         members.reserve(disks_.size());
         for (auto &d : disks_)
             members.push_back(d.get());
         governor_ = std::make_unique<power::Governor>(
-            sim_, gov, std::move(members));
+            sim_, params_.governor, std::move(members));
     }
 }
 
@@ -232,9 +202,6 @@ StorageArray::startRebuild(std::uint32_t idx,
                    "array: rebuild target is not failed");
     sim::simAssert(rebuild_ == nullptr || rebuild_->done(),
                    "array: a rebuild is already running");
-    sim::simAssert(bridge_ == nullptr || bridge_->supportsBarriers(),
-                   "array: rebuild requires the serial event loop "
-                   "or a barrier-capable engine");
     sim::simAssert(bridge_ == nullptr || bridge_->atSerialStep(),
                    "array: startRebuild inside a conservative window "
                    "(schedule it through scheduleStartRebuild)");
@@ -446,7 +413,7 @@ std::uint32_t
 StorageArray::pickReplica(std::uint32_t a, std::uint32_t b,
                           const workload::IoRequest &sub)
 {
-    if (replicaPolicy_ == ReplicaPolicy::Queue) {
+    if (params_.replica == ReplicaPolicy::Queue) {
         // Legacy routing: shallower queue, round-robin on ties.
         if (disks_[a]->queueDepth() != disks_[b]->queueDepth())
             return disks_[a]->queueDepth() < disks_[b]->queueDepth()

@@ -62,8 +62,7 @@ enum class Layout
  * intra-disk scheduler uses to pick an arm, lifted one level up the
  * stack (replica choice as arm choice) — and routes to the cheaper
  * one. Queue is the legacy policy: shallower queue, round-robin on
- * ties. The IDP_REPLICA environment variable overrides either way
- * ("queue" / "position").
+ * ties.
  */
 enum class ReplicaPolicy
 {
@@ -312,8 +311,6 @@ class StorageArray
     std::vector<std::vector<Sub>> deferredPool_;
     std::uint64_t rrRead_ = 0; // Raid1 tie-break
     std::vector<bool> failed_;
-    /** Effective RAID-1 read policy (params + IDP_REPLICA). */
-    ReplicaPolicy replicaPolicy_ = ReplicaPolicy::Positioning;
     std::unique_ptr<RebuildEngine> rebuild_;
     std::unique_ptr<power::Governor> governor_;
     ArrayStats stats_;

@@ -116,6 +116,45 @@ IniFile::get(const std::string &section, const std::string &key,
     return kit == it->second.values.end() ? fallback : kit->second;
 }
 
+std::optional<double>
+parseDouble(const std::string &text)
+{
+    try {
+        std::size_t used = 0;
+        const double v = std::stod(text, &used);
+        if (used == text.size())
+            return v;
+    } catch (const std::exception &) {
+    }
+    return std::nullopt;
+}
+
+std::optional<std::int64_t>
+parseInt(const std::string &text)
+{
+    try {
+        std::size_t used = 0;
+        const std::int64_t v = std::stoll(text, &used);
+        if (used == text.size())
+            return v;
+    } catch (const std::exception &) {
+    }
+    return std::nullopt;
+}
+
+std::optional<bool>
+parseBool(const std::string &text)
+{
+    std::string raw = text;
+    std::transform(raw.begin(), raw.end(), raw.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    if (raw == "true" || raw == "yes" || raw == "on" || raw == "1")
+        return true;
+    if (raw == "false" || raw == "no" || raw == "off" || raw == "0")
+        return false;
+    return std::nullopt;
+}
+
 double
 IniFile::getDouble(const std::string &section, const std::string &key,
                    double fallback) const
@@ -123,16 +162,10 @@ IniFile::getDouble(const std::string &section, const std::string &key,
     if (!has(section, key))
         return fallback;
     const std::string raw = get(section, key);
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(raw, &used);
-        if (used != raw.size())
-            throw std::invalid_argument(raw);
-        return v;
-    } catch (const std::exception &) {
-        sim::fatal("config [" + section + "] " + key +
-                   ": not a number: " + raw);
-    }
+    if (const std::optional<double> v = parseDouble(raw))
+        return *v;
+    sim::fatal("config [" + section + "] " + key +
+               ": not a number: " + raw);
 }
 
 std::int64_t
@@ -142,16 +175,10 @@ IniFile::getInt(const std::string &section, const std::string &key,
     if (!has(section, key))
         return fallback;
     const std::string raw = get(section, key);
-    try {
-        std::size_t used = 0;
-        const std::int64_t v = std::stoll(raw, &used);
-        if (used != raw.size())
-            throw std::invalid_argument(raw);
-        return v;
-    } catch (const std::exception &) {
-        sim::fatal("config [" + section + "] " + key +
-                   ": not an integer: " + raw);
-    }
+    if (const std::optional<std::int64_t> v = parseInt(raw))
+        return *v;
+    sim::fatal("config [" + section + "] " + key +
+               ": not an integer: " + raw);
 }
 
 bool
@@ -160,13 +187,9 @@ IniFile::getBool(const std::string &section, const std::string &key,
 {
     if (!has(section, key))
         return fallback;
-    std::string raw = get(section, key);
-    std::transform(raw.begin(), raw.end(), raw.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    if (raw == "true" || raw == "yes" || raw == "on" || raw == "1")
-        return true;
-    if (raw == "false" || raw == "no" || raw == "off" || raw == "0")
-        return false;
+    const std::string raw = get(section, key);
+    if (const std::optional<bool> v = parseBool(raw))
+        return *v;
     sim::fatal("config [" + section + "] " + key +
                ": not a boolean: " + raw);
 }

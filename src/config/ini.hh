@@ -19,11 +19,22 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace idp {
 namespace config {
+
+/**
+ * Strict whole-string converters, shared by IniFile's accessors and
+ * the environment table (config/env.hh); nullopt unless all of
+ * @p text is one value of the kind. Booleans accept
+ * true/yes/on/1 and false/no/off/0 in any case.
+ */
+std::optional<double> parseDouble(const std::string &text);
+std::optional<std::int64_t> parseInt(const std::string &text);
+std::optional<bool> parseBool(const std::string &text);
 
 /** Parsed INI document. */
 class IniFile

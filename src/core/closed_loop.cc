@@ -25,10 +25,10 @@ runClosedLoop(const SystemConfig &config,
                    "closed loop: needs a horizon");
 
     // Same invariant-checking policy as runTrace: install unless the
-    // environment disables it or the caller already installed one.
+    // config disables it or the caller already installed one.
     std::unique_ptr<verify::InvariantChecker> checker;
     std::unique_ptr<verify::VerifyScope> verify_scope;
-    if (verify::enabledFromEnv() &&
+    if (verify::kCompiledIn && config.checkInvariants &&
         verify::activeChecker() == nullptr) {
         checker = std::make_unique<verify::InvariantChecker>();
         verify_scope =

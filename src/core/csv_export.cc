@@ -1,6 +1,5 @@
 #include "core/csv_export.hh"
 
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 
@@ -137,13 +136,12 @@ writeMetricsCsv(const std::string &path,
 }
 
 bool
-maybeExportCsv(const std::string &stem,
+maybeExportCsv(const std::string &dir, const std::string &stem,
                const std::vector<RunResult> &results)
 {
-    const char *dir = std::getenv("IDP_CSV_DIR");
-    if (dir == nullptr || *dir == '\0')
+    if (dir.empty())
         return false;
-    const std::string base = std::string(dir) + "/" + stem;
+    const std::string base = dir + "/" + stem;
     writeCdfCsv(base + "_cdf.csv", results);
     writeRotPdfCsv(base + "_rotpdf.csv", results);
     writeSummaryCsv(base + "_summary.csv", results);

@@ -5,8 +5,7 @@
  * Bench binaries print paper-style text tables; for regenerating the
  * figures graphically, these helpers dump the same series as CSV —
  * one row per CDF/PDF bucket with one column per system, plus a flat
- * summary file. The benches honour IDP_CSV_DIR: when set, each bench
- * drops its series there.
+ * summary file. The benches export into IDP_CSV_DIR when it is set.
  */
 
 #ifndef IDP_CORE_CSV_EXPORT_HH
@@ -49,11 +48,11 @@ void writeMetricsCsv(const std::string &path,
                      const std::vector<RunResult> &results);
 
 /**
- * Bench helper: when IDP_CSV_DIR is set, write all three files as
+ * Bench helper: unless @p dir is empty, write all three files as
  * <dir>/<stem>_{cdf,rotpdf,summary}.csv (plus <stem>_metrics.csv
  * for traced results) and return true.
  */
-bool maybeExportCsv(const std::string &stem,
+bool maybeExportCsv(const std::string &dir, const std::string &stem,
                     const std::vector<RunResult> &results);
 
 /**

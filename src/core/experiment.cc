@@ -1,8 +1,5 @@
 #include "core/experiment.hh"
 
-#include <algorithm>
-#include <cstdlib>
-
 #include "exec/pdes.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -112,13 +109,6 @@ makeRaid0System(const std::string &name, const disk::DriveSpec &drive,
 RunResult
 runTrace(const workload::Trace &trace, const SystemConfig &config)
 {
-    return runTrace(trace, config, telemetry::TraceOptions::fromEnv());
-}
-
-RunResult
-runTrace(const workload::Trace &trace, const SystemConfig &config,
-         const telemetry::TraceOptions &trace_options)
-{
     sim::simAssert(!trace.empty(), "runTrace: empty trace");
 
     // Install the per-run telemetry currents *before* the system is
@@ -127,35 +117,35 @@ runTrace(const workload::Trace &trace, const SystemConfig &config,
     std::unique_ptr<telemetry::Tracer> tracer;
     std::unique_ptr<telemetry::RegistryScope> registry_scope;
     std::unique_ptr<telemetry::TraceScope> trace_scope;
-    if (telemetry::kCompiledIn && trace_options.enabled) {
+    if (telemetry::kCompiledIn && config.tracing.enabled) {
         registry = std::make_unique<telemetry::Registry>();
-        tracer = std::make_unique<telemetry::Tracer>(trace_options);
+        tracer = std::make_unique<telemetry::Tracer>(config.tracing);
         registry_scope =
             std::make_unique<telemetry::RegistryScope>(registry.get());
         trace_scope =
             std::make_unique<telemetry::TraceScope>(tracer.get());
     }
 
-    // Runtime invariant checking rides along unless IDP_VERIFY=0 (or
-    // the build compiled it out). A checker already installed by the
-    // caller — tests observing this run — takes precedence.
+    // Runtime invariant checking rides along unless the config turns
+    // it off (or the build compiled it out). A checker already
+    // installed by the caller — tests observing this run — takes
+    // precedence.
     std::unique_ptr<verify::InvariantChecker> checker;
     std::unique_ptr<verify::VerifyScope> verify_scope;
-    if (verify::enabledFromEnv() &&
+    if (verify::kCompiledIn && config.checkInvariants &&
         verify::activeChecker() == nullptr) {
         checker = std::make_unique<verify::InvariantChecker>();
         verify_scope =
             std::make_unique<verify::VerifyScope>(checker.get());
     }
 
-    // Conservative intra-run PDES: opt-in per config or environment.
-    // The serial path below stays untouched when disabled.
-    const exec::PdesOptions pdes =
-        exec::PdesOptions::resolve(config.pdesWorkers);
+    // Conservative intra-run PDES: opt-in per config. The serial path
+    // below stays untouched when disabled.
     std::unique_ptr<exec::PdesRun> prun;
-    if (pdes.enabled)
+    if (config.pdesWorkers > 0)
         prun = std::make_unique<exec::PdesRun>(
-            config.array, pdes.workers, trace_options);
+            config.array, static_cast<unsigned>(config.pdesWorkers),
+            config.tracing);
 
     sim::Simulator serial_sim;
     sim::Simulator &simul = prun ? prun->coordSim() : serial_sim;
@@ -262,48 +252,6 @@ runTrace(const workload::Trace &trace, const SystemConfig &config,
         result.trace = std::make_shared<const telemetry::TraceData>(
             prun ? prun->mergedTrace(*tracer) : tracer->finish());
     return result;
-}
-
-std::uint64_t
-benchRequestCount(std::uint64_t default_requests)
-{
-    if (const char *env = std::getenv("IDP_REQUESTS")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            return static_cast<std::uint64_t>(v);
-    }
-    double scale = 1.0;
-    if (const char *env = std::getenv("IDP_SCALE")) {
-        scale = std::atof(env);
-        if (scale < 0.01)
-            scale = 0.01;
-    }
-    const double scaled =
-        static_cast<double>(default_requests) * scale;
-    return std::max<std::uint64_t>(
-        1000, static_cast<std::uint64_t>(scaled));
-}
-
-std::uint64_t
-envOverrideU64(const char *name, std::uint64_t def)
-{
-    if (const char *env = std::getenv(name)) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            return static_cast<std::uint64_t>(v);
-    }
-    return def;
-}
-
-double
-envOverrideDouble(const char *name, double def)
-{
-    if (const char *env = std::getenv(name)) {
-        const double v = std::atof(env);
-        if (v > 0.0)
-            return v;
-    }
-    return def;
 }
 
 } // namespace core

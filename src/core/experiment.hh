@@ -32,6 +32,7 @@
 #include "stats/sampler.hh"
 #include "telemetry/registry.hh"
 #include "telemetry/tracer.hh"
+#include "verify/verify.hh"
 #include "workload/commercial.hh"
 #include "workload/request.hh"
 
@@ -44,13 +45,17 @@ struct SystemConfig
     std::string name;
     array::ArrayParams array;
     /**
-     * Intra-run PDES control for runTrace: < 0 (default) follows the
-     * IDP_PDES / IDP_PDES_WORKERS environment, 0 forces the serial
-     * event loop, > 0 forces PDES with that many workers. Results are
-     * byte-identical either way; unsupported configurations (see
-     * exec::pdesUnsupportedReason) fail fast when PDES is requested.
+     * Intra-run PDES workers for runTrace: 0 runs the serial event
+     * loop, > 0 the exec::PdesRun engine with that many workers.
+     * Results are byte-identical either way.
      */
-    int pdesWorkers = -1;
+    int pdesWorkers = 0;
+    /** Install an invariant checker for the run (runTrace,
+     *  runClosedLoop, serve::runService) unless the caller already
+     *  installed one. */
+    bool checkInvariants = verify::kCompiledIn;
+    /** Span tracing and the metrics registry (runTrace). */
+    telemetry::TraceOptions tracing;
 };
 
 /** Per-device sector count used for Concat offsets, from Table 2. */
@@ -107,36 +112,15 @@ struct RunResult
      * The trace is shared so RunResult stays cheap to copy (sweep
      * slots move results around); spans ride inside the result, so
      * the SweepRunner's index-ordered slots make any merge of traced
-     * runs deterministic at every IDP_THREADS.
+     * runs deterministic at every sweep width.
      */
     std::shared_ptr<const telemetry::TraceData> trace;
     std::vector<telemetry::MetricSample> metrics;
 };
 
-/** Run @p trace against @p config to completion (open loop).
- *  Tracing follows the environment (IDP_TRACE / IDP_TRACE_SAMPLE). */
+/** Run @p trace against @p config to completion (open loop). */
 RunResult runTrace(const workload::Trace &trace,
                    const SystemConfig &config);
-
-/** Same, with explicit tracing control (benches, tests). */
-RunResult runTrace(const workload::Trace &trace,
-                   const SystemConfig &config,
-                   const telemetry::TraceOptions &trace_options);
-
-/**
- * Environment-driven scale factor for bench run lengths: IDP_SCALE
- * multiplies request counts (default 1.0, min 0.01). IDP_REQUESTS, if
- * set, overrides the request count outright.
- */
-std::uint64_t benchRequestCount(std::uint64_t default_requests);
-
-/**
- * Environment override helpers shared by benches and the serving
- * front end (IDP_SERVE_* knobs): parse $name as a positive integer /
- * positive double, returning @p def when unset or malformed.
- */
-std::uint64_t envOverrideU64(const char *name, std::uint64_t def);
-double envOverrideDouble(const char *name, double def);
 
 } // namespace core
 } // namespace idp

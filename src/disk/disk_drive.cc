@@ -53,8 +53,8 @@ DiskDrive::DiskDrive(sim::Simulator &simul, const DriveSpec &spec,
     bgList_.index.configure(geometry_.cylinders());
     // FCFS keys on age alone — nothing for a cylinder index to
     // prune — so it keeps the materialized exhaustive path.
-    schedIndexed_ = spec_.schedPrune && sched::pruneEnabledFromEnv() &&
-        spec_.sched.policy != sched::Policy::Fcfs;
+    schedIndexed_ =
+        spec_.schedPrune && spec_.sched.policy != sched::Policy::Fcfs;
     oracle_ = [this](const sched::PendingView &r,
                      const sched::ArmView &a) {
         return cachedPositioning(r, a);

@@ -1,15 +1,10 @@
 #include "exec/pdes.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
-#include <string>
 
 #include "bus/bus.hh"
-#include "exec/sweep_runner.hh"
 #include "geom/geometry.hh"
-#include "power/governor.hh"
 #include "sim/logging.hh"
 #include "telemetry/telemetry.hh"
 #include "verify/verify.hh"
@@ -17,120 +12,17 @@
 namespace idp {
 namespace exec {
 
-PdesOptions
-PdesOptions::resolve(int override_workers)
-{
-    PdesOptions opts;
-    if (override_workers == 0)
-        return opts;
-    if (override_workers > 0) {
-        opts.enabled = true;
-        opts.workers = static_cast<unsigned>(override_workers);
-        return opts;
-    }
-    const char *env = std::getenv("IDP_PDES");
-    if (env == nullptr || std::strcmp(env, "0") == 0 ||
-        std::strcmp(env, "off") == 0 || std::strcmp(env, "false") == 0)
-        return opts;
-    opts.enabled = true;
-    unsigned workers = 0;
-    if (const char *w = std::getenv("IDP_PDES_WORKERS")) {
-        const long v = std::atol(w);
-        if (v > 0)
-            workers = static_cast<unsigned>(v);
-        else
-            sim::warnOnce(
-                "IDP_PDES_WORKERS ignored (not a positive integer)");
-    }
-    opts.workers = workers != 0 ? workers : configuredThreads();
-    return opts;
-}
-
-PdesHorizonMode
-pdesHorizonModeFromEnv()
-{
-    const char *env = std::getenv("IDP_PDES_HORIZON");
-    if (env == nullptr || *env == '\0' ||
-        std::strcmp(env, "dynamic") == 0)
-        return PdesHorizonMode::Dynamic;
-    if (std::strcmp(env, "static") == 0)
-        return PdesHorizonMode::Static;
-    sim::panic(std::string("IDP_PDES_HORIZON: unknown mode \"") + env +
-               "\" (use \"static\" or \"dynamic\")");
-    return PdesHorizonMode::Dynamic;
-}
-
-sim::Tick
-pdesLookahead(const array::ArrayParams &params)
-{
-    if (params.layout == array::Layout::Raid1)
-        return 0;
-    if (params.useBus) {
-        // Every completion->submission feedback path (read returns,
-        // deferred RMW writes, staged host writes) crosses the bus,
-        // and every bus movement carries at least one sector — so the
-        // one-sector transfer latency bounds the feedback from below.
-        return bus::Bus::minTransferTicks(params.bus,
-                                          geom::kSectorBytes);
-    }
-    if (params.layout == array::Layout::Raid5)
-        return 0;
-    // Open-loop fan-out with no bus: completions never influence any
-    // future submission, so drives are fully independent.
-    return sim::kTickNever;
-}
-
-const char *
-pdesUnsupportedReason(const array::ArrayParams &params,
-                      PdesHorizonMode mode)
-{
-    // Dynamic horizons price every feedback path off live state and
-    // absorb membership-visible events at barrier-synchronized serial
-    // steps, so nothing is rejected.
-    if (mode == PdesHorizonMode::Dynamic)
-        return nullptr;
-    if (params.layout == array::Layout::Raid1)
-        return "RAID-1 read routing prices replicas against live "
-               "drive state (arm positions, spindle phase, queue "
-               "depths), which admits no conservative lookahead "
-               "window";
-    if (pdesLookahead(params) == 0)
-        return "zero-lookahead spec: a completion can feed back into "
-               "a submission with no minimum cross-drive latency "
-               "(RAID-5 read-modify-write needs useBus with a "
-               "positive transfer latency)";
-    if (power::applyGovernorEnv(params.governor).enabled)
-        return "the energy governor observes array-wide tail latency "
-               "and retargets spindle speeds at runtime — cross-drive "
-               "feedback with no conservative lookahead window; run "
-               "governed configurations serially (IDP_THREADS=1 "
-               "in-run parallelism is still available)";
-    return nullptr;
-}
-
-const char *
-pdesUnsupportedReason(const array::ArrayParams &params)
-{
-    return pdesUnsupportedReason(params, pdesHorizonModeFromEnv());
-}
-
 PdesRun::PdesRun(const array::ArrayParams &params, unsigned workers,
                  const telemetry::TraceOptions &trace_options)
 {
-    mode_ = pdesHorizonModeFromEnv();
-    if (const char *why = pdesUnsupportedReason(params, mode_))
-        sim::fatal(std::string("pdes: ") + why);
-    lookahead_ = pdesLookahead(params);
-    if (mode_ == PdesHorizonMode::Dynamic) {
-        serialCoordConfig_ = params.layout == array::Layout::Raid1 ||
-            power::applyGovernorEnv(params.governor).enabled;
-        feedbackConfig_ =
-            params.layout == array::Layout::Raid5 && !params.useBus;
-        busLookahead_ = params.useBus
-            ? bus::Bus::minTransferTicks(params.bus, geom::kSectorBytes)
-            : sim::kTickNever;
-        barriers_.reserve(16);
-    }
+    serialCoordConfig_ = params.layout == array::Layout::Raid1 ||
+        params.governor.enabled;
+    feedbackConfig_ =
+        params.layout == array::Layout::Raid5 && !params.useBus;
+    busLookahead_ = params.useBus
+        ? bus::Bus::minTransferTicks(params.bus, geom::kSectorBytes)
+        : sim::kTickNever;
+    barriers_.reserve(16);
 
     coordSim_.setVerifyDomain(0);
     arraySim_.setVerifyDomain(1);
@@ -229,44 +121,36 @@ PdesRun::run()
         checker_->reserveDisks(drives);
     }
 
-    const bool dynamic = mode_ == PdesHorizonMode::Dynamic;
-    // Both modes: windowed rounds are not serially synchronized, so
-    // completions captured there must go through the merge.
+    // Windowed rounds are not serially synchronized, so completions
+    // captured there must go through the merge.
     serialStepActive_ = false;
     for (;;) {
         const sim::Tick next_t = nextActivityTick();
         if (next_t == sim::kTickNever)
             break;
         ++rounds_;
-        sim::Tick h;
-        if (dynamic) {
-            // Retire barriers the activity already moved past (their
-            // tick executed, or carried no event at all).
-            while (!barriers_.empty() && barriers_.front() < next_t) {
-                std::pop_heap(barriers_.begin(), barriers_.end(),
-                              std::greater<sim::Tick>());
-                barriers_.pop_back();
-            }
-            h = computeHorizon(next_t);
-            if (h <= next_t) {
-                serialStep(next_t);
-                continue;
-            }
-            // Telemetry: log2-bucketed window width.
-            if (h == sim::kTickNever) {
-                ++horizonHist_[kHorizonBuckets - 1];
-            } else {
-                sim::Tick width = h - next_t;
-                std::size_t b = 0;
-                while (width >>= 1)
-                    ++b;
-                ++horizonHist_[std::min<std::size_t>(
-                    b, kHorizonBuckets - 2)];
-            }
+        // Retire barriers the activity already moved past (their tick
+        // executed, or carried no event at all).
+        while (!barriers_.empty() && barriers_.front() < next_t) {
+            std::pop_heap(barriers_.begin(), barriers_.end(),
+                          std::greater<sim::Tick>());
+            barriers_.pop_back();
+        }
+        const sim::Tick h = computeHorizon(next_t);
+        if (h <= next_t) {
+            serialStep(next_t);
+            continue;
+        }
+        // Telemetry: log2-bucketed window width.
+        if (h == sim::kTickNever) {
+            ++horizonHist_[kHorizonBuckets - 1];
         } else {
-            h = lookahead_ == sim::kTickNever
-                ? sim::kTickNever
-                : next_t + lookahead_;
+            sim::Tick width = h - next_t;
+            std::size_t b = 0;
+            while (width >>= 1)
+                ++b;
+            ++horizonHist_[std::min<std::size_t>(b,
+                                                 kHorizonBuckets - 2)];
         }
         horizon_ = h;
 
@@ -288,9 +172,6 @@ PdesRun::run()
 void
 PdesRun::addBarrier(sim::Tick at)
 {
-    sim::simAssert(mode_ == PdesHorizonMode::Dynamic,
-                   "pdes: barriers need dynamic horizons "
-                   "(IDP_PDES_HORIZON=dynamic)");
     barriers_.push_back(at);
     std::push_heap(barriers_.begin(), barriers_.end(),
                    std::greater<sim::Tick>());

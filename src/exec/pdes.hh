@@ -6,11 +6,11 @@
  * The array is split into calendars: one coordinator (workload feed +
  * RAID fan-out), one per member drive, and one array-phase calendar
  * that replays drive completions and runs the bus. Drives interact
- * only through the array/bus layer, whose minimum cross-disk latency
- * L is known from the configuration — so every calendar may safely
- * simulate the window [T, T+L) in parallel, where T is the earliest
- * pending activity anywhere (the classic Chandy–Misra–Bryant
- * argument). Rounds alternate three phases:
+ * only through the array/bus layer, so every calendar may safely
+ * simulate the window [T, H) in parallel, where T is the earliest
+ * pending activity anywhere and H is a horizon no cross-drive effect
+ * can precede (the classic Chandy–Misra–Bryant argument). Rounds
+ * alternate three phases:
  *
  *   A. coordinator runs its window serially, routing sub-requests
  *      into per-drive inbound queues (write bus movements are staged
@@ -30,39 +30,32 @@
  * any worker count, and (up to same-tick cross-calendar ties that the
  * tick resolution makes vanishingly rare) identical to the serial
  * path. Open-loop fan-outs with no bus have no completion feedback at
- * all: lookahead is infinite and the whole run is a single round of
- * full drive parallelism.
+ * all: the horizon is unbounded and the whole run is a single round
+ * of full drive parallelism.
  *
- * Horizons come in two modes (IDP_PDES_HORIZON):
- *
- * - "static" reproduces the original engine exactly: the window width
- *   is a per-config constant L = pdesLookahead(params), and configs
- *   with a zero-latency feedback path (RAID-1 replica routing priced
- *   off live drive state, busless RAID-5 read-modify-write, the
- *   energy governor) are rejected up front — see
- *   pdesUnsupportedReason().
- *
- * - "dynamic" (the default) derives the horizon per round from live
- *   state instead of the spec, which makes all of the above legal.
- *   Each drive exports an admissible lower bound on its earliest next
- *   host-visible completion (DiskDrive::completionBoundTicks: exact
- *   in-flight transfer ends, phase floors of earlier stages, a
- *   queued-work floor of seek-free + rotation-free one-sector service
- *   — an idle drive with an empty inbox is unbounded until the
- *   coordinator feeds it). The round's horizon is the min over
- *   those bounds (when completions feed submissions), pending
- *   cross-layer deliveries plus their minimum service, the staged-bus
- *   latency, the next coordinator event (when coordinator events read
- *   live drive state — RAID-1 pricing, governor control, the rebuild
- *   pump), and explicit *horizon barriers* — membership-visible
- *   events (failDisk, rebuild start) registered via
- *   ArrayBridge::addBarrier. A round whose horizon collapses onto the
- *   round start executes as a *serial step*: every calendar is
- *   advanced to that tick and the phases loop to a fixpoint, so the
- *   event sees exactly the serial run's state; wider horizons run the
- *   usual parallel window. Conservative-window admissibility is the
- *   same Chandy–Misra–Bryant argument, with the bound re-derived
- *   every round.
+ * Horizons are derived per round from live state, not from the spec,
+ * so every configuration is legal — RAID-1 replica routing priced off
+ * live drive state, busless RAID-5 read-modify-write, rebuild and the
+ * energy governor included. Each drive exports an admissible lower
+ * bound on its earliest next host-visible completion
+ * (DiskDrive::completionBoundTicks: exact in-flight transfer ends,
+ * phase floors of earlier stages, a queued-work floor of seek-free +
+ * rotation-free one-sector service — an idle drive with an empty
+ * inbox is unbounded until the coordinator feeds it). The round's
+ * horizon is the min over those bounds (when completions feed
+ * submissions), pending cross-layer deliveries plus their minimum
+ * service, the staged-bus latency, the next coordinator event (when
+ * coordinator events read live drive state — RAID-1 pricing,
+ * governor control, the rebuild pump), and explicit *horizon
+ * barriers* — membership-visible events (failDisk, rebuild start)
+ * registered via ArrayBridge::addBarrier. A round whose horizon
+ * collapses onto the round start executes as a *serial step*: every
+ * calendar is advanced to that tick and the phases loop to a
+ * fixpoint, so the event sees exactly the serial run's state; wider
+ * horizons run the usual parallel window. Conservative-window
+ * admissibility is the same Chandy–Misra–Bryant argument, with the
+ * bound re-derived every round. With a bus, every feedback path
+ * crosses it, so a window is at most one one-sector transfer wide.
  */
 
 #ifndef IDP_EXEC_PDES_HH
@@ -83,50 +76,6 @@
 
 namespace idp {
 namespace exec {
-
-/** Resolved PDES controls for one run. */
-struct PdesOptions
-{
-    bool enabled = false;
-    unsigned workers = 1;
-
-    /**
-     * Resolve from a programmatic override and the environment:
-     * @p override_workers < 0 follows IDP_PDES (off unless set to a
-     * truthy value; worker count from IDP_PDES_WORKERS, else
-     * configuredThreads()); 0 forces the serial path; > 0 forces PDES
-     * with that many workers.
-     */
-    static PdesOptions resolve(int override_workers);
-};
-
-/** How the engine derives each round's synchronization horizon. */
-enum class PdesHorizonMode
-{
-    Static,  ///< per-config constant lookahead (the original engine)
-    Dynamic, ///< per-round state-derived bound + horizon barriers
-};
-
-/** IDP_PDES_HORIZON: unset/"dynamic" -> Dynamic, "static" -> Static;
- *  anything else is fatal. */
-PdesHorizonMode pdesHorizonModeFromEnv();
-
-/**
- * Conservative lookahead window for @p params, in ticks: the minimum
- * latency of any completion->submission feedback path between drives.
- * kTickNever when no such path exists (open-loop fan-out without a
- * bus); 0 when a zero-latency path makes static-mode PDES
- * inadmissible.
- */
-sim::Tick pdesLookahead(const array::ArrayParams &params);
-
-/** Why @p params cannot run under PDES in @p mode, or nullptr if they
- *  can. Dynamic horizons support every configuration. */
-const char *pdesUnsupportedReason(const array::ArrayParams &params,
-                                  PdesHorizonMode mode);
-
-/** pdesUnsupportedReason under the environment-selected mode. */
-const char *pdesUnsupportedReason(const array::ArrayParams &params);
 
 /** Merge key at a synchronization horizon: completions replay in
  *  (tick, drive id, per-drive sequence) order. */
@@ -183,14 +132,12 @@ class PdesRun final : public array::ArrayBridge
     /** Common final tick of all calendars (valid after run()). */
     sim::Tick endTick() const { return endTick_; }
 
-    /** Synchronization rounds executed (kTickNever lookahead = 1). */
+    /** Synchronization rounds executed (1 for an unbounded run). */
     std::uint64_t rounds() const { return rounds_; }
 
     /** Rounds whose horizon collapsed onto the round start and ran as
-     *  a fully synchronized serial step (dynamic mode only). */
+     *  a fully synchronized serial step. */
     std::uint64_t serialSteps() const { return serialSteps_; }
-
-    PdesHorizonMode horizonMode() const { return mode_; }
 
     /** Number of horizon-width histogram buckets: log2(h - t) clamps
      *  into [0, 62]; bucket 63 counts unbounded (kTickNever) rounds. */
@@ -203,7 +150,6 @@ class PdesRun final : public array::ArrayBridge
         return horizonHist_;
     }
 
-    sim::Tick lookahead() const { return lookahead_; }
     unsigned workerCount() const { return workers_; }
 
     /** Kernel gauges summed over every calendar. */
@@ -230,19 +176,11 @@ class PdesRun final : public array::ArrayBridge
                  sim::Tick at) override;
     void complete(std::uint32_t disk_idx, const workload::IoRequest &sub,
                   sim::Tick done, const disk::ServiceInfo &info) override;
-    bool supportsBarriers() const override
-    {
-        return mode_ == PdesHorizonMode::Dynamic;
-    }
     void addBarrier(sim::Tick at) override;
     bool atSerialStep() const override { return serialStepActive_; }
     void noteRebuildActive(bool active) override
     {
         rebuildActive_ = active;
-    }
-    bool wantsCompletionBounds() const override
-    {
-        return mode_ == PdesHorizonMode::Dynamic;
     }
 
   private:
@@ -267,7 +205,7 @@ class PdesRun final : public array::ArrayBridge
     };
 
     sim::Tick nextActivityTick();
-    /** Dynamic-mode horizon for the round starting at @p t: the min
+    /** Horizon for the round starting at @p t: the min
      *  admissible bound over drives, inboxes, staged bus movements,
      *  barriers, and (when coordinator events read live drive state)
      *  the next coordinator event. Allocation-free. */
@@ -297,7 +235,6 @@ class PdesRun final : public array::ArrayBridge
 
     array::StorageArray *arr_ = nullptr;
     sim::Simulator *active_ = &coordSim_;
-    sim::Tick lookahead_ = 0;
     sim::Tick horizon_ = 0;
     sim::Tick endTick_ = 0;
     std::uint64_t rounds_ = 0;
@@ -305,7 +242,6 @@ class PdesRun final : public array::ArrayBridge
     std::uint64_t deliverSeq_ = 0;
     unsigned workers_ = 1;
 
-    PdesHorizonMode mode_ = PdesHorizonMode::Dynamic;
     /** Coordinator events read live drive state (RAID-1 replica
      *  pricing, governor control ticks) — run them at serial steps. */
     bool serialCoordConfig_ = false;

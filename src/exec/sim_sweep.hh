@@ -8,7 +8,7 @@
  *     for (cfg : configs) rows.push_back(core::runTrace(trace, cfg));
  *
  * calls runSystems()/runSimPoints() instead: same rows, same order,
- * fanned across IDP_THREADS cores. Each simulation point is fully
+ * fanned across the sweep's cores. Each simulation point is fully
  * deterministic (seeded workloads, per-drive fault RNG in the spec),
  * so the parallel rows are bit-identical to the serial ones.
  */
@@ -32,18 +32,16 @@ struct SimPoint
     core::SystemConfig config;
 };
 
-/**
- * Simulate every point; result i in slot i.
- * @p threads 0 = IDP_THREADS / hardware_concurrency().
- */
+/** Simulate every point on @p threads sweep workers; result i in
+ *  slot i. */
 std::vector<core::RunResult>
-runSimPoints(const std::vector<SimPoint> &points, unsigned threads = 0);
+runSimPoints(const std::vector<SimPoint> &points, unsigned threads);
 
 /** Common case: each of @p systems against one shared @p trace. */
 std::vector<core::RunResult>
 runSystems(const workload::Trace &trace,
            const std::vector<core::SystemConfig> &systems,
-           unsigned threads = 0);
+           unsigned threads);
 
 } // namespace exec
 } // namespace idp

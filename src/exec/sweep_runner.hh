@@ -14,8 +14,8 @@
  * (base seed, point index). A point function that takes all its
  * randomness from SweepPoint::rng() (or seeds generators from
  * SweepPoint::seed) therefore computes bit-identical results at any
- * thread count, including the serial IDP_THREADS=1 path, which runs
- * the points in index order on the calling thread exactly as the
+ * thread count, including the serial one-thread path, which runs the
+ * points in index order on the calling thread exactly as the
  * pre-engine benches did.
  *
  * Exception contract: if point functions throw, the sweep finishes
@@ -43,13 +43,6 @@ namespace exec {
 /** Default base seed for sweep-point stream derivation. */
 constexpr std::uint64_t kDefaultSweepSeed = 0x1D9A5EEDULL;
 
-/**
- * Worker count from the environment: IDP_THREADS if set to a positive
- * integer (1 = serial), otherwise hardware_concurrency(). A malformed
- * value warns once and falls back to the default.
- */
-unsigned configuredThreads();
-
 /** Handed to each point function: its index and private RNG stream. */
 struct SweepPoint
 {
@@ -64,13 +57,12 @@ class SweepRunner
 {
   public:
     /**
-     * @param threads worker count; 0 = configuredThreads().
+     * @param threads worker count; 0 and 1 run the serial path.
      * @param base_seed root of the per-point stream family.
      */
-    explicit SweepRunner(unsigned threads = 0,
+    explicit SweepRunner(unsigned threads,
                          std::uint64_t base_seed = kDefaultSweepSeed)
-        : threads_(threads ? threads : configuredThreads()),
-          baseSeed_(base_seed)
+        : threads_(std::max(1u, threads)), baseSeed_(base_seed)
     {
     }
 

@@ -111,16 +111,6 @@ struct GovernorParams
     std::size_t latencyRing = 1024;
 };
 
-/**
- * IDP_GOVERNOR* environment overrides:
- *   IDP_GOVERNOR=0/1           force-disable / force-enable
- *   IDP_GOVERNOR_WINDOW_MS     control period
- *   IDP_GOVERNOR_SLO_MS        latency SLO
- *   IDP_GOVERNOR_DWELL_MS      downward dwell
- *   IDP_GOVERNOR_PARK          parkKeepArms
- */
-GovernorParams applyGovernorEnv(GovernorParams params);
-
 /** Decision counters (also exported as telemetry counters). */
 struct GovernorStats
 {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -13,16 +11,6 @@
 
 namespace idp {
 namespace sched {
-
-bool
-pruneEnabledFromEnv()
-{
-    const char *v = std::getenv("IDP_SCHED_PRUNE");
-    if (v == nullptr)
-        return true;
-    return std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0 &&
-        std::strcmp(v, "false") != 0;
-}
 
 Choice
 IoScheduler::selectIndexed(const std::vector<ArmView> &arms,

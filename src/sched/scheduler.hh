@@ -212,14 +212,6 @@ class IoScheduler
     std::vector<PendingView> windowScratch_;
 };
 
-/**
- * True unless the IDP_SCHED_PRUNE environment variable disables the
- * indexed/pruned dispatch path ("0", "off", "false"). The escape
- * hatch exists for A/B timing and for bisecting any suspected
- * pruned-vs-exhaustive divergence; results are identical either way.
- */
-bool pruneEnabledFromEnv();
-
 /** Scheduler construction options. */
 struct SchedulerParams
 {

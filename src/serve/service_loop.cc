@@ -448,10 +448,10 @@ runService(const core::SystemConfig &config, const ServeParams &params)
     validateParams(params);
 
     // Same invariant-checking policy as the batch drivers: install
-    // unless the environment disables it or one is already active.
+    // unless the config disables it or one is already active.
     std::unique_ptr<verify::InvariantChecker> checker;
     std::unique_ptr<verify::VerifyScope> verify_scope;
-    if (verify::enabledFromEnv() &&
+    if (verify::kCompiledIn && config.checkInvariants &&
         verify::activeChecker() == nullptr) {
         checker = std::make_unique<verify::InvariantChecker>();
         verify_scope =
@@ -624,35 +624,12 @@ runServePoints(const std::vector<ServePoint> &points, unsigned threads)
     // Each point is a pure function of its (config, params) — the
     // sweep's thread count can only change which worker runs it, so
     // index-ordered slots make the output byte-identical at any
-    // IDP_THREADS.
+    // width.
     exec::SweepRunner runner(threads);
     return runner.map(points,
                       [](const ServePoint &pt, const exec::SweepPoint &) {
                           return runService(pt.config, pt.params);
                       });
-}
-
-ServeParams
-applyServeEnv(ServeParams params)
-{
-    params.tenants =
-        core::envOverrideU64("IDP_SERVE_TENANTS", params.tenants);
-    params.durationSeconds = core::envOverrideDouble(
-        "IDP_SERVE_SECONDS", params.durationSeconds);
-    params.warmupSeconds = core::envOverrideDouble(
-        "IDP_SERVE_WARMUP", params.warmupSeconds);
-    params.thinkMs =
-        core::envOverrideDouble("IDP_SERVE_THINK_MS", params.thinkMs);
-    params.openFraction = core::envOverrideDouble(
-        "IDP_SERVE_OPEN_FRACTION", params.openFraction);
-    params.slo.p99TargetMs = core::envOverrideDouble(
-        "IDP_SERVE_SLO_P99_MS", params.slo.p99TargetMs);
-    params.snapshotPeriodMs = core::envOverrideDouble(
-        "IDP_SERVE_SNAPSHOT_MS", params.snapshotPeriodMs);
-    params.admission.maxInFlight =
-        static_cast<std::uint32_t>(core::envOverrideU64(
-            "IDP_SERVE_MAX_INFLIGHT", params.admission.maxInFlight));
-    return params;
 }
 
 void

@@ -194,19 +194,12 @@ struct ServePoint
 };
 
 /**
- * Run every point, fanned across the sweep thread pool (0 =
- * IDP_THREADS); result i in slot i, byte-identical at any thread
- * count (each point is a self-seeded serial simulation).
+ * Run every point, fanned across @p threads sweep workers; result i
+ * in slot i, byte-identical at any thread count (each point is a
+ * self-seeded serial simulation).
  */
 std::vector<ServeResult>
-runServePoints(const std::vector<ServePoint> &points,
-               unsigned threads = 0);
-
-/**
- * Apply IDP_SERVE_* environment overrides: TENANTS, SECONDS, WARMUP,
- * THINK_MS, OPEN_FRACTION, SLO_P99_MS, SNAPSHOT_MS, MAX_INFLIGHT.
- */
-ServeParams applyServeEnv(ServeParams params);
+runServePoints(const std::vector<ServePoint> &points, unsigned threads);
 
 /** Write snapshot rows for any number of runs as one flat CSV. */
 void writeServeSnapshotsCsv(std::ostream &os,

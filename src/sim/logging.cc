@@ -3,8 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
-#include <set>
 
 namespace idp {
 namespace sim {
@@ -27,29 +25,7 @@ levelPrefix(LogLevel level)
     return "log";
 }
 
-LogLevel
-thresholdFromEnv()
-{
-    const char *env = std::getenv("IDP_LOG");
-    if (!env || !*env)
-        return LogLevel::Warn;
-    const std::string name(env);
-    if (name == "error")
-        return LogLevel::Error;
-    if (name == "warn")
-        return LogLevel::Warn;
-    if (name == "info")
-        return LogLevel::Info;
-    if (name == "debug")
-        return LogLevel::Debug;
-    std::fprintf(stderr,
-                 "warn: IDP_LOG=%s not one of "
-                 "error|warn|info|debug; using warn\n",
-                 env);
-    return LogLevel::Warn;
-}
-
-std::atomic<int> g_threshold{-1}; // -1 = not yet initialized
+std::atomic<int> g_threshold{static_cast<int>(LogLevel::Warn)};
 
 } // namespace
 
@@ -85,12 +61,8 @@ logLevelFromString(const std::string &name)
 LogLevel
 logThreshold()
 {
-    int v = g_threshold.load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = static_cast<int>(thresholdFromEnv());
-        g_threshold.store(v, std::memory_order_relaxed);
-    }
-    return static_cast<LogLevel>(v);
+    return static_cast<LogLevel>(
+        g_threshold.load(std::memory_order_relaxed));
 }
 
 void
@@ -119,16 +91,6 @@ void
 warn(const std::string &msg)
 {
     logAt(LogLevel::Warn, msg);
-}
-
-void
-warnOnce(const std::string &msg)
-{
-    static std::mutex mtx;
-    static std::set<std::string> seen;
-    std::lock_guard<std::mutex> lock(mtx);
-    if (seen.insert(msg).second)
-        warn(msg);
 }
 
 } // namespace sim

@@ -10,11 +10,11 @@
  *              core dump / debugger can be used.
  *
  * Leveled front end (shared by telemetry and the module code):
- *   IDP_LOG=error|warn|info|debug selects the threshold (default:
- *   warn). logError/logWarn/logInfo check the threshold at runtime;
+ *   setLogThreshold selects the threshold (default: warn; mains pass
+ *   IDP_LOG). logError/logWarn/logInfo check the threshold at runtime;
  *   logDebug additionally compiles to nothing in Release builds
  *   (NDEBUG), so debug-grade formatting can sit on hot paths for
- *   free. warn()/warnOnce() remain as aliases for the Warn level.
+ *   free. warn() remains an alias for the Warn level.
  */
 
 #ifndef IDP_SIM_LOGGING_HH
@@ -43,14 +43,10 @@ enum class LogLevel : int
 /** Parse "error"/"warn"/"info"/"debug" (fatal on anything else). */
 LogLevel logLevelFromString(const std::string &name);
 
-/**
- * Active threshold: first call reads IDP_LOG (default warn, unknown
- * values warn once and fall back); later calls return the cached
- * value unless overridden.
- */
+/** Active threshold (default warn). */
 LogLevel logThreshold();
 
-/** Override the threshold (tests, CLI flags). */
+/** Set the threshold (mains pass IDP_LOG; tests). */
 void setLogThreshold(LogLevel level);
 
 /** True when messages at @p level are emitted. */
@@ -87,9 +83,6 @@ inline void logDebug(const std::string &msg)
 
 /** Print "warn: <msg>" to stderr (gated at the Warn level). */
 void warn(const std::string &msg);
-
-/** Like warn(), but suppresses repeats of an identical message. */
-void warnOnce(const std::string &msg);
 
 /**
  * If !cond, panic with msg. Enabled in all build types. Call sites

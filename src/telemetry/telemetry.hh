@@ -11,9 +11,9 @@
  * and branch per hook, bounded by bench/micro_simcore.
  *
  * Runtime control is per run: core::runTrace installs a Tracer and a
- * Registry for the duration of a run when tracing is requested
- * (IDP_TRACE=1 or a programmatic TraceOptions), and the hooks see
- * them through the thread-local currents.
+ * Registry for the duration of a run when SystemConfig::tracing asks
+ * for it (mains pass IDP_TRACE), and the hooks see them through the
+ * thread-local currents.
  */
 
 #ifndef IDP_TELEMETRY_TELEMETRY_HH

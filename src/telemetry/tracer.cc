@@ -1,7 +1,5 @@
 #include "telemetry/tracer.hh"
 
-#include <cstdlib>
-
 #include "sim/logging.hh"
 
 namespace idp {
@@ -11,36 +9,7 @@ namespace {
 
 thread_local Tracer *t_current = nullptr;
 
-std::uint64_t
-envUint(const char *name, std::uint64_t fallback)
-{
-    const char *env = std::getenv(name);
-    if (!env || !*env)
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (!end || *end != '\0' || v == 0) {
-        sim::warnOnce(std::string(name) +
-                      ": expected a positive integer, got \"" + env +
-                      "\"; using default");
-        return fallback;
-    }
-    return static_cast<std::uint64_t>(v);
-}
-
 } // namespace
-
-TraceOptions
-TraceOptions::fromEnv()
-{
-    TraceOptions opts;
-    if (const char *env = std::getenv("IDP_TRACE"))
-        opts.enabled = *env && *env != '0';
-    opts.sampleEvery = envUint("IDP_TRACE_SAMPLE", opts.sampleEvery);
-    opts.ringCapacity = static_cast<std::size_t>(
-        envUint("IDP_TRACE_BUF", opts.ringCapacity));
-    return opts;
-}
 
 double
 TraceData::meanMs(SpanKind kind) const

@@ -9,7 +9,7 @@
  * point i creates its own tracer, its spans ride back inside the
  * point's RunResult, and SweepRunner already stores result i in slot
  * i — so the merged trace (concatenate per-point spans in index
- * order) is byte-identical at any IDP_THREADS.
+ * order) is byte-identical at any sweep width.
  *
  * Two products per run:
  *  - an exact phase-time accumulation over *all* spans (attribution
@@ -40,13 +40,6 @@ struct TraceOptions
     std::uint64_t sampleEvery = 1;
     /** Span-ring capacity (spans retained for export). */
     std::size_t ringCapacity = 1u << 18;
-
-    /**
-     * Environment-driven configuration: IDP_TRACE=1 enables,
-     * IDP_TRACE_SAMPLE=<n> samples, IDP_TRACE_BUF=<spans> sizes the
-     * ring. Malformed values warn once and use the defaults.
-     */
-    static TraceOptions fromEnv();
 };
 
 /** Exact per-phase time accumulation. */

@@ -1,7 +1,5 @@
 #include "verify/verify.hh"
 
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -12,21 +10,6 @@ namespace verify {
 namespace {
 thread_local InvariantChecker *t_current = nullptr;
 } // namespace
-
-bool
-enabledFromEnv()
-{
-#if !IDP_VERIFY
-    return false;
-#else
-    const char *env = std::getenv("IDP_VERIFY");
-    if (env == nullptr)
-        return true;
-    return !(std::strcmp(env, "0") == 0 ||
-             std::strcmp(env, "off") == 0 ||
-             std::strcmp(env, "false") == 0);
-#endif
-}
 
 InvariantChecker::InvariantChecker(FailMode mode) : mode_(mode) {}
 

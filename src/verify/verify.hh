@@ -10,11 +10,12 @@
  * disabled run is one thread-local load and branch per hook, bounded
  * by bench/micro_simcore.
  *
- * Runtime control is per run: core::runTrace and core::runClosedLoop
- * install an InvariantChecker for the duration of a run unless the
- * IDP_VERIFY environment variable disables it (IDP_VERIFY=0), and the
- * hooks see it through the thread-local current. Tests install their
- * own checker (often in Record mode) through VerifyScope.
+ * Runtime control is per run: core::runTrace, core::runClosedLoop and
+ * serve::runService install an InvariantChecker for the duration of a
+ * run unless SystemConfig::checkInvariants is off (mains pass
+ * IDP_VERIFY), and the hooks see it through the thread-local current.
+ * Tests install their own checker (often in Record mode) through
+ * VerifyScope.
  *
  * The hooks deliberately observe and never mutate: an installed
  * checker cannot perturb event order, RNG streams, or statistics, so
@@ -45,11 +46,6 @@ constexpr bool kCompiledIn = false;
 
 constexpr InvariantChecker *activeChecker() { return nullptr; }
 #endif
-
-/** True when runs should install a checker (IDP_VERIFY env, default
- *  on; any of "0", "off", "false" disables). Compiled-out builds
- *  always report false. */
-bool enabledFromEnv();
 
 // ---------------------------------------------------------------
 // Event-kernel hooks

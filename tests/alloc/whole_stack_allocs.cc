@@ -74,8 +74,7 @@ measureRunTrace(const core::SystemConfig &config,
     verify::InvariantChecker checker(verify::FailMode::Record);
     verify::VerifyScope scope(&checker);
     const std::uint64_t a0 = benchjson::allocCount();
-    const core::RunResult r =
-        core::runTrace(trace, config, telemetry::TraceOptions{});
+    const core::RunResult r = core::runTrace(trace, config);
     const std::uint64_t allocs = benchjson::allocCount() - a0;
     EXPECT_EQ(r.completions, trace.size());
     EXPECT_TRUE(checker.violations().empty())

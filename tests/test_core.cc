@@ -6,8 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "workload/synthetic.hh"
 
@@ -173,22 +172,19 @@ TEST(Runner, SeekRotScalingKnobs)
 
 TEST(BenchScale, EnvOverrides)
 {
-    unsetenv("IDP_REQUESTS");
-    unsetenv("IDP_SCALE");
-    EXPECT_EQ(benchRequestCount(100000), 100000u);
-    setenv("IDP_SCALE", "0.5", 1);
-    EXPECT_EQ(benchRequestCount(100000), 50000u);
-    setenv("IDP_REQUESTS", "1234", 1);
-    EXPECT_EQ(benchRequestCount(100000), 1234u);
-    unsetenv("IDP_REQUESTS");
-    unsetenv("IDP_SCALE");
+    EXPECT_EQ(config::resolveEnv({}).benchRequests(100000), 100000u);
+    EXPECT_EQ(config::resolveEnv({"IDP_SCALE=0.5"}).benchRequests(100000),
+              50000u);
+    EXPECT_EQ(config::resolveEnv({"IDP_SCALE=0.5", "IDP_REQUESTS=1234"})
+                  .benchRequests(100000),
+              1234u);
 }
 
 TEST(BenchScale, FloorsAtMinimum)
 {
-    setenv("IDP_SCALE", "0.000001", 1);
-    EXPECT_GE(benchRequestCount(100000), 1000u);
-    unsetenv("IDP_SCALE");
+    EXPECT_GE(config::resolveEnv({"IDP_SCALE=0.000001"})
+                  .benchRequests(100000),
+              1000u);
 }
 
 } // namespace

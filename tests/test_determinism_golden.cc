@@ -23,13 +23,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
 
 #include "array/rebuild.hh"
 #include "array/storage_array.hh"
+#include "config/env.hh"
 #include "core/csv_export.hh"
 #include "core/experiment.hh"
 #include "exec/pdes.hh"
@@ -73,7 +73,7 @@ TEST(DeterminismGolden, Sa2ExponentialScenarioMatchesGoldenFile)
 {
     const std::string measured = runScenario();
 
-    if (std::getenv("IDP_UPDATE_GOLDEN") != nullptr) {
+    if (config::resolveEnv().updateGolden) {
         std::ofstream os(goldenPath());
         ASSERT_TRUE(os) << "cannot write " << goldenPath();
         os << measured;
@@ -206,7 +206,7 @@ TEST_P(PdesGolden, MatrixMatchesGoldenFileAtEveryWorkerCount)
 
     const std::string serial = runPdesScenario(scenario, 0);
 
-    if (std::getenv("IDP_UPDATE_GOLDEN") != nullptr) {
+    if (config::resolveEnv().updateGolden) {
         std::ofstream os(path);
         ASSERT_TRUE(os) << "cannot write " << path;
         os << serial;
@@ -333,7 +333,7 @@ TEST_P(FailureGolden, ScenarioMatchesGoldenFile)
         "/tests/golden/determinism_" + name + ".csv";
     const std::string measured = runFailureScenario(name);
 
-    if (std::getenv("IDP_UPDATE_GOLDEN") != nullptr) {
+    if (config::resolveEnv().updateGolden) {
         std::ofstream os(path);
         ASSERT_TRUE(os) << "cannot write " << path;
         os << measured;

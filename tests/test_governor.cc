@@ -9,14 +9,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "array/storage_array.hh"
+#include "config/env.hh"
 #include "core/csv_export.hh"
 #include "core/experiment.hh"
-#include "exec/pdes.hh"
 #include "exec/sim_sweep.hh"
 #include "power/governor.hh"
 #include "verify/invariant_checker.hh"
@@ -196,79 +195,38 @@ TEST(Governor, GovernedLullUsesLessEnergyThanStaticNominal)
 
 TEST(Governor, EnvOverridesParseAndReject)
 {
-    power::GovernorParams base;
-    ASSERT_EQ(setenv("IDP_GOVERNOR", "1", 1), 0);
-    ASSERT_EQ(setenv("IDP_GOVERNOR_WINDOW_MS", "125", 1), 0);
-    ASSERT_EQ(setenv("IDP_GOVERNOR_SLO_MS", "30", 1), 0);
-    ASSERT_EQ(setenv("IDP_GOVERNOR_DWELL_MS", "1500", 1), 0);
-    ASSERT_EQ(setenv("IDP_GOVERNOR_PARK", "2", 1), 0);
-    const power::GovernorParams g = power::applyGovernorEnv(base);
+    array::ArrayParams params;
+    config::resolveEnv({"IDP_GOVERNOR=1", "IDP_GOVERNOR_WINDOW_MS=125",
+                        "IDP_GOVERNOR_SLO_MS=30",
+                        "IDP_GOVERNOR_DWELL_MS=1500",
+                        "IDP_GOVERNOR_PARK=2"})
+        .apply(params);
+    const power::GovernorParams &g = params.governor;
     EXPECT_TRUE(g.enabled);
     EXPECT_DOUBLE_EQ(g.windowMs, 125.0);
     EXPECT_DOUBLE_EQ(g.sloP99Ms, 30.0);
     EXPECT_DOUBLE_EQ(g.minDwellMs, 1500.0);
     EXPECT_EQ(g.parkKeepArms, 2u);
 
-    ASSERT_EQ(setenv("IDP_GOVERNOR", "0", 1), 0);
-    EXPECT_FALSE(power::applyGovernorEnv(base).enabled);
-
-    ASSERT_EQ(unsetenv("IDP_GOVERNOR"), 0);
-    ASSERT_EQ(unsetenv("IDP_GOVERNOR_WINDOW_MS"), 0);
-    ASSERT_EQ(unsetenv("IDP_GOVERNOR_SLO_MS"), 0);
-    ASSERT_EQ(unsetenv("IDP_GOVERNOR_DWELL_MS"), 0);
-    ASSERT_EQ(unsetenv("IDP_GOVERNOR_PARK"), 0);
+    config::resolveEnv({"IDP_GOVERNOR=0"}).apply(params);
+    EXPECT_FALSE(params.governor.enabled);
+    // Unset knobs keep the array's own settings.
+    config::resolveEnv({}).apply(params);
+    EXPECT_FALSE(params.governor.enabled);
+    EXPECT_DOUBLE_EQ(params.governor.sloP99Ms, 30.0);
 }
 
 TEST(GovernorDeathTest, BadEnvValueIsFatal)
 {
     testing::FLAGS_gtest_death_test_style = "threadsafe";
-    ASSERT_EQ(setenv("IDP_GOVERNOR_SLO_MS", "fast", 1), 0);
-    EXPECT_EXIT(power::applyGovernorEnv(power::GovernorParams{}),
+    EXPECT_EXIT(config::resolveEnv({"IDP_GOVERNOR_SLO_MS=fast"}),
                 ::testing::ExitedWithCode(1), "IDP_GOVERNOR_SLO_MS");
-    ASSERT_EQ(unsetenv("IDP_GOVERNOR_SLO_MS"), 0);
 }
 
 // ---------------------------------------------------------------
-// PDES: under the static-horizon escape hatch, governed
-// configurations are rejected up front with a clear error. The
-// default dynamic-horizon engine accepts them (control ticks become
-// horizon barriers) and must replicate the serial bytes.
+// PDES: governed configurations run under the engine (control ticks
+// become horizon barriers) and must replicate the serial bytes.
 // ---------------------------------------------------------------
-
-TEST(GovernorPdes, StaticHorizonNamesTheGovernorDynamicAcceptsIt)
-{
-    core::SystemConfig config = core::makeRaid0System(
-        "governed",
-        disk::makeIntraDiskParallel(disk::barracudaEs750(), 2), 4);
-    EXPECT_EQ(exec::pdesUnsupportedReason(
-                  config.array, exec::PdesHorizonMode::Static),
-              nullptr);
-    config.array.governor = testGovernor();
-    const char *why = exec::pdesUnsupportedReason(
-        config.array, exec::PdesHorizonMode::Static);
-    ASSERT_NE(why, nullptr);
-    EXPECT_NE(std::string(why).find("governor"), std::string::npos);
-    EXPECT_EQ(exec::pdesUnsupportedReason(
-                  config.array, exec::PdesHorizonMode::Dynamic),
-              nullptr);
-}
-
-TEST(GovernorPdesDeathTest, GovernedRunUnderStaticPdesIsFatal)
-{
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
-    ASSERT_EQ(setenv("IDP_PDES_HORIZON", "static", 1), 0);
-    workload::SyntheticParams wp;
-    wp.requests = 10;
-    const auto trace = workload::generateSynthetic(wp);
-    core::SystemConfig config = core::makeRaid0System(
-        "governed",
-        disk::makeIntraDiskParallel(disk::barracudaEs750(), 2), 4);
-    config.array.governor = testGovernor();
-    config.pdesWorkers = 2;
-    EXPECT_EXIT(core::runTrace(trace, config),
-                ::testing::ExitedWithCode(1), "governor");
-    ASSERT_EQ(unsetenv("IDP_PDES_HORIZON"), 0);
-}
 
 TEST(GovernorPdes, GovernedRunUnderDynamicPdesMatchesSerial)
 {
@@ -342,7 +300,7 @@ TEST(GovernorDeterminismGolden, SweepMatchesGoldenFile)
         "/tests/golden/determinism_governor.csv";
     const std::string measured = goldenGovernorCsv(1);
 
-    if (std::getenv("IDP_UPDATE_GOLDEN") != nullptr) {
+    if (config::resolveEnv().updateGolden) {
         std::ofstream os(path);
         ASSERT_TRUE(os) << "cannot write " << path;
         os << measured;

@@ -14,10 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
+#include "config/env.hh"
 #include "core/csv_export.hh"
 #include "core/experiment.hh"
 #include "exec/sim_sweep.hh"
@@ -217,14 +217,14 @@ TEST(SweepRunner, SurvivesExceptionAndRunsAgain)
 
 TEST(SweepRunner, HonoursIdpThreadsEnv)
 {
-    ASSERT_EQ(setenv("IDP_THREADS", "3", 1), 0);
-    EXPECT_EQ(exec::configuredThreads(), 3u);
-    EXPECT_EQ(exec::SweepRunner().threads(), 3u);
-    ASSERT_EQ(setenv("IDP_THREADS", "1", 1), 0);
-    EXPECT_EQ(exec::configuredThreads(), 1u);
-    ASSERT_EQ(unsetenv("IDP_THREADS"), 0);
-    EXPECT_EQ(exec::configuredThreads(),
+    const unsigned three = config::resolveEnv({"IDP_THREADS=3"}).threads;
+    EXPECT_EQ(three, 3u);
+    EXPECT_EQ(exec::SweepRunner(three).threads(), 3u);
+    EXPECT_EQ(config::resolveEnv({"IDP_THREADS=1"}).threads, 1u);
+    EXPECT_EQ(config::resolveEnv({}).threads,
               exec::ThreadPool::hardwareThreads());
+    // Widths 0 and 1 both take the serial path.
+    EXPECT_EQ(exec::SweepRunner(0).threads(), 1u);
 }
 
 // ---------------------------------------------------------------

@@ -1,20 +1,20 @@
 /**
  * @file
- * Conservative-PDES battery: lookahead-window semantics, horizon
- * safety, merge-order model, rejection of inadmissible specs, and
- * randomized stress runs byte-comparing full output against the
- * serial event loop at several worker counts.
+ * Conservative-PDES battery: horizon widths, horizon safety,
+ * merge-order model, and randomized stress runs byte-comparing full
+ * output against the serial event loop at several worker counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bus/bus.hh"
+#include "config/env.hh"
 #include "core/csv_export.hh"
 #include "core/experiment.hh"
 #include "disk/drive_config.hh"
@@ -30,19 +30,8 @@ namespace {
 
 using namespace idp;
 
-/** RAII environment variable override. */
-struct EnvGuard
-{
-    std::string name;
-    EnvGuard(const char *n, const char *value) : name(n)
-    {
-        setenv(n, value, 1);
-    }
-    ~EnvGuard() { unsetenv(name.c_str()); }
-};
-
 // ---------------------------------------------------------------
-// Lookahead derivation
+// Array shapes
 // ---------------------------------------------------------------
 
 core::SystemConfig
@@ -62,118 +51,6 @@ raid5WithBus(std::uint32_t disks)
     config.array.drive = disk::barracudaEs750();
     config.array.useBus = true;
     return config;
-}
-
-TEST(PdesLookahead, OpenLoopFanOutHasInfiniteLookahead)
-{
-    // No bus and no RMW feedback: completions never influence any
-    // future submission, so the whole run is one window.
-    EXPECT_EQ(exec::pdesLookahead(raid0NoBus(4).array),
-              sim::kTickNever);
-    EXPECT_EQ(exec::pdesUnsupportedReason(raid0NoBus(4).array),
-              nullptr);
-}
-
-TEST(PdesLookahead, BusBoundsTheWindowByOneSectorTransfer)
-{
-    const core::SystemConfig config = raid5WithBus(4);
-    const sim::Tick lookahead = exec::pdesLookahead(config.array);
-    EXPECT_EQ(lookahead,
-              bus::Bus::minTransferTicks(config.array.bus,
-                                         geom::kSectorBytes));
-    EXPECT_GT(lookahead, 0u);
-    EXPECT_EQ(exec::pdesUnsupportedReason(config.array), nullptr);
-}
-
-TEST(PdesLookahead, ZeroLookaheadSpecsAreNamed)
-{
-    using exec::PdesHorizonMode;
-    core::SystemConfig raid5 = raid5WithBus(4);
-    raid5.array.useBus = false;
-    EXPECT_EQ(exec::pdesLookahead(raid5.array), 0u);
-    const char *why = exec::pdesUnsupportedReason(
-        raid5.array, PdesHorizonMode::Static);
-    ASSERT_NE(why, nullptr);
-    EXPECT_NE(std::string(why).find("zero-lookahead"),
-              std::string::npos);
-
-    core::SystemConfig raid1;
-    raid1.array.layout = array::Layout::Raid1;
-    raid1.array.disks = 4;
-    raid1.array.drive = disk::barracudaEs750();
-    why = exec::pdesUnsupportedReason(raid1.array,
-                                      PdesHorizonMode::Static);
-    ASSERT_NE(why, nullptr);
-    EXPECT_NE(std::string(why).find(
-                  "prices replicas against live drive state"),
-              std::string::npos);
-
-    // The dynamic engine accepts every configuration.
-    EXPECT_EQ(exec::pdesUnsupportedReason(raid5.array,
-                                          PdesHorizonMode::Dynamic),
-              nullptr);
-    EXPECT_EQ(exec::pdesUnsupportedReason(raid1.array,
-                                          PdesHorizonMode::Dynamic),
-              nullptr);
-
-    // The env-reading overload follows IDP_PDES_HORIZON and defaults
-    // to dynamic.
-    EXPECT_EQ(exec::pdesUnsupportedReason(raid1.array), nullptr);
-    {
-        EnvGuard mode("IDP_PDES_HORIZON", "static");
-        EXPECT_NE(exec::pdesUnsupportedReason(raid1.array), nullptr);
-    }
-    {
-        EnvGuard mode("IDP_PDES_HORIZON", "dynamic");
-        EXPECT_EQ(exec::pdesUnsupportedReason(raid1.array), nullptr);
-    }
-}
-
-TEST(PdesLookahead, HorizonModeEnvParsing)
-{
-    EXPECT_EQ(exec::pdesHorizonModeFromEnv(),
-              exec::PdesHorizonMode::Dynamic);
-    {
-        EnvGuard mode("IDP_PDES_HORIZON", "static");
-        EXPECT_EQ(exec::pdesHorizonModeFromEnv(),
-                  exec::PdesHorizonMode::Static);
-    }
-    {
-        EnvGuard mode("IDP_PDES_HORIZON", "");
-        EXPECT_EQ(exec::pdesHorizonModeFromEnv(),
-                  exec::PdesHorizonMode::Dynamic);
-    }
-}
-
-TEST(PdesLookaheadDeathTest, HorizonModeRejectsUnknownValues)
-{
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EnvGuard mode("IDP_PDES_HORIZON", "adaptive");
-    EXPECT_DEATH(exec::pdesHorizonModeFromEnv(), "IDP_PDES_HORIZON");
-}
-
-TEST(PdesLookaheadDeathTest, StaticModeRejectsZeroLookaheadSpecs)
-{
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EnvGuard mode("IDP_PDES_HORIZON", "static");
-    workload::SyntheticParams wp;
-    wp.requests = 10;
-    const auto trace = workload::generateSynthetic(wp);
-
-    core::SystemConfig raid5 = raid5WithBus(4);
-    raid5.array.useBus = false;
-    raid5.pdesWorkers = 2; // force PDES on
-    EXPECT_EXIT(core::runTrace(trace, raid5),
-                testing::ExitedWithCode(1), "zero-lookahead");
-
-    core::SystemConfig raid1;
-    raid1.name = "pdes-raid1";
-    raid1.array.layout = array::Layout::Raid1;
-    raid1.array.disks = 4;
-    raid1.array.drive = disk::barracudaEs750();
-    raid1.pdesWorkers = 2;
-    EXPECT_EXIT(core::runTrace(trace, raid1),
-                testing::ExitedWithCode(1), "RAID-1 read routing");
 }
 
 // ---------------------------------------------------------------
@@ -316,17 +193,18 @@ TEST(PdesStress, EnvironmentOptInMatchesSerial)
     workload::SyntheticParams wp;
     wp.requests = 3000;
     const auto trace = workload::generateSynthetic(wp);
-    const core::SystemConfig config = raid0NoBus(4);
 
-    // pdesWorkers = -1 follows the environment in both runs.
-    const std::string serial = runToCsv(trace, config, -1);
-    std::string pdes;
-    {
-        EnvGuard on("IDP_PDES", "1");
-        EnvGuard workers("IDP_PDES_WORKERS", "3");
-        pdes = runToCsv(trace, config, -1);
-    }
-    EXPECT_EQ(serial, pdes);
+    // The resolved environment picks the run mode; either way the
+    // bytes must match.
+    auto runUnder = [&](const std::vector<std::string> &entries,
+                        int want_workers) {
+        core::SystemConfig system = raid0NoBus(4);
+        config::resolveEnv(entries).apply(system);
+        EXPECT_EQ(system.pdesWorkers, want_workers);
+        return runToCsv(trace, system, system.pdesWorkers);
+    };
+    EXPECT_EQ(runUnder({}, 0),
+              runUnder({"IDP_PDES=1", "IDP_PDES_WORKERS=3"}, 3));
 }
 
 // ---------------------------------------------------------------
@@ -365,10 +243,9 @@ TEST(PdesExactness, CheckerAccountingIsExactAcrossWorkerCounts)
 }
 
 // ---------------------------------------------------------------
-// Dynamic horizons: the configurations the static engine rejects
-// (RAID-1 replica pricing, busless RAID-5 RMW) must now run and
-// reproduce the serial bytes at several worker counts; the static
-// escape hatch must keep working for bus-bound configs.
+// Dynamic horizons: every configuration runs — including the ones no
+// constant lookahead admits (RAID-1 replica pricing, busless RAID-5
+// RMW) — and reproduces the serial bytes at several worker counts.
 // ---------------------------------------------------------------
 
 core::SystemConfig
@@ -413,17 +290,60 @@ TEST(PdesDynamic, BuslessRaid5ByteIdenticalAcrossWorkers)
     EXPECT_EQ(serial, runToCsv(trace, config, 8));
 }
 
-TEST(PdesDynamic, StaticEscapeHatchReproducesBusBoundRuns)
+/** Run @p trace under a 4-worker PdesRun of @p params and return
+ *  the finished engine (rounds, serial steps, width histogram). */
+std::unique_ptr<exec::PdesRun>
+runEngine(const array::ArrayParams &params, const workload::Trace &trace)
 {
-    EnvGuard mode("IDP_PDES_HORIZON", "static");
+    auto prun = std::make_unique<exec::PdesRun>(
+        params, 4, telemetry::TraceOptions{});
+    array::StorageArray arr(prun->coordSim(), params, nullptr,
+                            prun.get());
+    prun->setArray(&arr);
+    for (const auto &req : trace)
+        prun->coordSim().schedule(req.arrival,
+                                  [&arr, req] { arr.submit(req); });
+    prun->run();
+    EXPECT_EQ(arr.stats().logicalCompletions, trace.size());
+    return prun;
+}
+
+TEST(PdesDynamic, OpenLoopFanOutRunsOneUnboundedRound)
+{
+    // No bus and no RMW feedback: completions never influence any
+    // future submission, so the whole run is one unbounded window.
+    workload::SyntheticParams wp;
+    wp.requests = 1000;
+    wp.meanInterArrivalMs = 1.0;
+    const auto prun =
+        runEngine(raid0NoBus(4).array, workload::generateSynthetic(wp));
+    EXPECT_EQ(prun->rounds(), 1u);
+    EXPECT_EQ(prun->serialSteps(), 0u);
+    EXPECT_EQ(prun->horizonWidthHist()[exec::PdesRun::kHorizonBuckets -
+                                       1],
+              1u);
+}
+
+TEST(PdesDynamic, BusBoundsEveryWindowToOneSectorTransfer)
+{
+    // With a bus every feedback path crosses it, so each round's
+    // window is exactly one one-sector transfer wide.
+    const core::SystemConfig config = raid5WithBus(4);
+    sim::Tick width = bus::Bus::minTransferTicks(config.array.bus,
+                                                 geom::kSectorBytes);
+    ASSERT_GT(width, 0u);
+    std::size_t bucket = 0;
+    while (width >>= 1)
+        ++bucket;
+
     workload::SyntheticParams wp;
     wp.requests = 1000;
     wp.meanInterArrivalMs = 2.0;
-    const auto trace = workload::generateSynthetic(wp);
-    const core::SystemConfig config = raid5WithBus(4);
-
-    const std::string serial = runToCsv(trace, config, 0);
-    EXPECT_EQ(serial, runToCsv(trace, config, 4));
+    const auto prun =
+        runEngine(config.array, workload::generateSynthetic(wp));
+    EXPECT_EQ(prun->serialSteps(), 0u);
+    EXPECT_GT(prun->rounds(), 1u);
+    EXPECT_EQ(prun->horizonWidthHist()[bucket], prun->rounds());
 }
 
 TEST(PdesDynamic, SerialStepAndHorizonTelemetry)
@@ -437,7 +357,6 @@ TEST(PdesDynamic, SerialStepAndHorizonTelemetry)
     params.drive = disk::barracudaEs750();
 
     exec::PdesRun prun(params, 4, telemetry::TraceOptions{});
-    ASSERT_EQ(prun.horizonMode(), exec::PdesHorizonMode::Dynamic);
     array::StorageArray arr(prun.coordSim(), params, nullptr, &prun);
     prun.setArray(&arr);
 
@@ -543,13 +462,14 @@ TEST(PdesExactness, ModuleCountersExactWithEightWorkers)
     wp.meanInterArrivalMs = 1.0;
     const auto trace = workload::generateSynthetic(wp);
 
-    telemetry::TraceOptions topts;
-    topts.enabled = true;
-
-    auto metricsAt = [&](int pdes_workers) {
+    auto tracedAt = [&](int pdes_workers) {
         core::SystemConfig c = raid0NoBus(4);
         c.pdesWorkers = pdes_workers;
-        return core::runTrace(trace, c, topts).metrics;
+        c.tracing.enabled = true;
+        return core::runTrace(trace, c);
+    };
+    auto metricsAt = [&](int pdes_workers) {
+        return tracedAt(pdes_workers).metrics;
     };
     const auto serial = metricsAt(0);
     const auto pdes8 = metricsAt(8);
@@ -576,10 +496,8 @@ TEST(PdesExactness, ModuleCountersExactWithEightWorkers)
     EXPECT_GT(compared, 5u);
 
     // And the merged trace must carry every span exactly once.
-    core::SystemConfig c = raid0NoBus(4);
-    c.pdesWorkers = 8;
-    const auto serial_run = core::runTrace(trace, raid0NoBus(4), topts);
-    const auto pdes_run = core::runTrace(trace, c, topts);
+    const auto serial_run = tracedAt(0);
+    const auto pdes_run = tracedAt(8);
     ASSERT_NE(serial_run.trace, nullptr);
     ASSERT_NE(pdes_run.trace, nullptr);
     for (std::size_t k = 0; k < serial_run.trace->phases.size(); ++k) {

@@ -10,10 +10,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "array/rebuild.hh"
 #include "array/storage_array.hh"
+#include "config/env.hh"
 #include "disk/disk_drive.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -185,10 +184,9 @@ TEST(ReplicaDispatch, EscapeHatchQueuePolicyRoundRobins)
 
 TEST(ReplicaDispatch, EnvOverrideForcesQueuePolicy)
 {
-    ::setenv("IDP_REPLICA", "queue", 1);
     ArrayParams p = raid1(/*seek_scale=*/4.0); // params say Positioning
+    config::resolveEnv({"IDP_REPLICA=queue"}).apply(p);
     Harness h(p);
-    ::unsetenv("IDP_REPLICA");
     const geom::Lba far_lba = h.arr.logicalSectors() - 4096;
     for (int i = 0; i < 10; ++i)
         h.submitAt(i * 100 * sim::kTicksPerMs,

@@ -6,10 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/csv_export.hh"
 #include "core/report.hh"
@@ -129,14 +129,13 @@ TEST(Csv, FilesWrittenAndShaped)
 TEST(Csv, MaybeExportHonoursEnv)
 {
     const core::RunResult r = smallRun();
-    unsetenv("IDP_CSV_DIR");
-    EXPECT_FALSE(core::maybeExportCsv("nope", {r}));
+    EXPECT_FALSE(core::maybeExportCsv(config::resolveEnv({}).csvDir,
+                                      "nope", {r}));
     const std::string dir = ::testing::TempDir();
-    setenv("IDP_CSV_DIR", dir.c_str(), 1);
-    EXPECT_TRUE(core::maybeExportCsv("yep", {r}));
+    const config::Env env = config::resolveEnv({"IDP_CSV_DIR=" + dir});
+    EXPECT_TRUE(core::maybeExportCsv(env.csvDir, "yep", {r}));
     std::ifstream check(dir + "/yep_summary.csv");
     EXPECT_TRUE(check.good());
-    unsetenv("IDP_CSV_DIR");
 }
 
 TEST(Report, EmptyResultListSafe)

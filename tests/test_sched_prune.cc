@@ -15,12 +15,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "config/env.hh"
 #include "core/csv_export.hh"
 #include "core/experiment.hh"
 #include "disk/disk_drive.hh"
@@ -149,10 +149,10 @@ TEST(SchedPrune, EnvVarForcesExhaustivePathWithIdenticalResults)
 {
     const auto pruned = runDeepQueue(
         deepQueueSpec(sched::Policy::Sptf, true), 0xE5C);
-    ASSERT_EQ(setenv("IDP_SCHED_PRUNE", "0", 1), 0);
-    const auto forced_off = runDeepQueue(
-        deepQueueSpec(sched::Policy::Sptf, true), 0xE5C);
-    ASSERT_EQ(unsetenv("IDP_SCHED_PRUNE"), 0);
+    DriveSpec spec = deepQueueSpec(sched::Policy::Sptf, true);
+    config::resolveEnv({"IDP_SCHED_PRUNE=0"}).apply(spec);
+    ASSERT_FALSE(spec.schedPrune);
+    const auto forced_off = runDeepQueue(spec, 0xE5C);
     ASSERT_EQ(pruned.size(), forced_off.size());
     for (std::size_t i = 0; i < pruned.size(); ++i)
         ASSERT_TRUE(pruned[i] == forced_off[i]) << "completion " << i;
@@ -279,7 +279,7 @@ TEST(SchedPruneGolden, DeepQueueScenarioMatchesGoldenFile)
 {
     const std::string measured = runDeepScenario(1);
 
-    if (std::getenv("IDP_UPDATE_GOLDEN") != nullptr) {
+    if (config::resolveEnv().updateGolden) {
         std::ofstream os(goldenPath());
         ASSERT_TRUE(os) << "cannot write " << goldenPath();
         os << measured;

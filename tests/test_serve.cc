@@ -12,11 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
+#include "config/env.hh"
 #include "serve/service_loop.hh"
 #include "serve/think_wheel.hh"
 #include "sim/rng.hh"
@@ -582,20 +582,26 @@ TEST(ServeLoop, CapturedMetricDeltasSumToRunTotals)
 // Environment overrides
 // ---------------------------------------------------------------
 
-TEST(ServeEnv, OverridesApplyAndMalformedValuesAreIgnored)
+TEST(ServeEnv, OverridesApply)
 {
-    serve::ServeParams base;
-    ::setenv("IDP_SERVE_TENANTS", "777", 1);
-    ::setenv("IDP_SERVE_SLO_P99_MS", "42.5", 1);
-    ::setenv("IDP_SERVE_SECONDS", "not-a-number", 1);
-    const serve::ServeParams p = serve::applyServeEnv(base);
-    ::unsetenv("IDP_SERVE_TENANTS");
-    ::unsetenv("IDP_SERVE_SLO_P99_MS");
-    ::unsetenv("IDP_SERVE_SECONDS");
+    // A malformed value is fatal (EnvResolveDeathTest); the zero
+    // values runService accepts apply like any other.
+    const serve::ServeParams base;
+    serve::ServeParams p = base;
+    config::resolveEnv({"IDP_SERVE_TENANTS=777",
+                        "IDP_SERVE_SLO_P99_MS=42.5",
+                        "IDP_SERVE_MAX_INFLIGHT=0",
+                        "IDP_SERVE_SNAPSHOT_MS=0", "IDP_SERVE_WARMUP=0",
+                        "IDP_SERVE_OPEN_FRACTION=0"})
+        .apply(p);
 
     EXPECT_EQ(p.tenants, 777u);
     EXPECT_DOUBLE_EQ(p.slo.p99TargetMs, 42.5);
     EXPECT_DOUBLE_EQ(p.durationSeconds, base.durationSeconds);
+    EXPECT_EQ(p.admission.maxInFlight, 0u);
+    EXPECT_DOUBLE_EQ(p.snapshotPeriodMs, 0.0);
+    EXPECT_DOUBLE_EQ(p.warmupSeconds, 0.0);
+    EXPECT_DOUBLE_EQ(p.openFraction, 0.0);
 }
 
 // ---------------------------------------------------------------
@@ -659,7 +665,7 @@ TEST(ServeDeterminismGolden, SnapshotCsvMatchesGoldenFile)
         "/tests/golden/determinism_serve.csv";
     const std::string measured = goldenServeCsv(1);
 
-    if (std::getenv("IDP_UPDATE_GOLDEN") != nullptr) {
+    if (config::resolveEnv().updateGolden) {
         std::ofstream os(path);
         ASSERT_TRUE(os) << "cannot write " << path;
         os << measured;

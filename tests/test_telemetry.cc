@@ -200,11 +200,17 @@ smallSystem()
         "tele-sys", disk::enterpriseDrive(2.0, 10000, 2), 2);
 }
 
+core::SystemConfig
+tracedSystem()
+{
+    core::SystemConfig config = smallSystem();
+    config.tracing.enabled = true;
+    return config;
+}
+
 TEST(RunTrace, UntracedRunLeavesTelemetryEmpty)
 {
-    telemetry::TraceOptions off;
-    const core::RunResult r =
-        core::runTrace(smallTrace(), smallSystem(), off);
+    const core::RunResult r = core::runTrace(smallTrace(), smallSystem());
     EXPECT_EQ(r.trace, nullptr);
     EXPECT_TRUE(r.metrics.empty());
 }
@@ -212,10 +218,8 @@ TEST(RunTrace, UntracedRunLeavesTelemetryEmpty)
 TEST(RunTrace, TracedRunCarriesSpansAndMetrics)
 {
     REQUIRE_TELEMETRY();
-    telemetry::TraceOptions on;
-    on.enabled = true;
     const core::RunResult r =
-        core::runTrace(smallTrace(), smallSystem(), on);
+        core::runTrace(smallTrace(), tracedSystem());
     ASSERT_NE(r.trace, nullptr);
     EXPECT_FALSE(r.trace->spans.empty());
 
@@ -248,13 +252,8 @@ TEST(RunTrace, TracedRunCarriesSpansAndMetrics)
 TEST(RunTrace, TracingDoesNotPerturbResults)
 {
     const workload::Trace trace = smallTrace();
-    telemetry::TraceOptions off;
-    telemetry::TraceOptions on;
-    on.enabled = true;
-    const core::RunResult plain =
-        core::runTrace(trace, smallSystem(), off);
-    const core::RunResult traced =
-        core::runTrace(trace, smallSystem(), on);
+    const core::RunResult plain = core::runTrace(trace, smallSystem());
+    const core::RunResult traced = core::runTrace(trace, tracedSystem());
     EXPECT_EQ(plain.completions, traced.completions);
     EXPECT_DOUBLE_EQ(plain.meanResponseMs, traced.meanResponseMs);
     EXPECT_DOUBLE_EQ(plain.p99ResponseMs, traced.p99ResponseMs);
@@ -265,10 +264,8 @@ TEST(RunTrace, TracingDoesNotPerturbResults)
 TEST(RunTrace, ServiceSpansNestInsideResponseWindow)
 {
     REQUIRE_TELEMETRY();
-    telemetry::TraceOptions on;
-    on.enabled = true;
     const core::RunResult r =
-        core::runTrace(smallTrace(600), smallSystem(), on);
+        core::runTrace(smallTrace(600), tracedSystem());
     ASSERT_NE(r.trace, nullptr);
     for (const auto &span : r.trace->spans) {
         EXPECT_LE(span.begin, span.end);
@@ -285,10 +282,8 @@ TEST(RunTrace, ServiceSpansNestInsideResponseWindow)
 TEST(TraceExport, ChromeJsonShape)
 {
     REQUIRE_TELEMETRY();
-    telemetry::TraceOptions on;
-    on.enabled = true;
     const core::RunResult r =
-        core::runTrace(smallTrace(400), smallSystem(), on);
+        core::runTrace(smallTrace(400), tracedSystem());
     ASSERT_NE(r.trace, nullptr);
 
     telemetry::TraceBatch batch;
@@ -328,10 +323,8 @@ TEST(TraceExport, ChromeJsonShape)
 TEST(TraceExport, MetricsCsvLongForm)
 {
     REQUIRE_TELEMETRY();
-    telemetry::TraceOptions on;
-    on.enabled = true;
     core::RunResult r =
-        core::runTrace(smallTrace(400), smallSystem(), on);
+        core::runTrace(smallTrace(400), tracedSystem());
     std::ostringstream os;
     core::writeMetricsCsv(os, {r});
     const std::string csv = os.str();
@@ -343,10 +336,8 @@ TEST(TraceExport, MetricsCsvLongForm)
 TEST(Report, AttributionTableListsPhases)
 {
     REQUIRE_TELEMETRY();
-    telemetry::TraceOptions on;
-    on.enabled = true;
     const core::RunResult r =
-        core::runTrace(smallTrace(), smallSystem(), on);
+        core::runTrace(smallTrace(), tracedSystem());
     std::ostringstream os;
     core::printAttribution(os, "attr", {r});
     const std::string out = os.str();
@@ -367,13 +358,12 @@ TEST(SweepDeterminism, TracedSweepIdenticalAcrossThreadCounts)
     REQUIRE_TELEMETRY();
     const auto trace = smallTrace(800);
     auto point_fn = [&trace](const exec::SweepPoint &point) {
-        telemetry::TraceOptions on;
-        on.enabled = true;
         core::SystemConfig config = core::makeRaid0System(
             "sweep-" + std::to_string(point.index),
             disk::enterpriseDrive(2.0, 10000, 2),
             1 + static_cast<std::uint32_t>(point.index % 3));
-        return core::runTrace(trace, config, on);
+        config.tracing.enabled = true;
+        return core::runTrace(trace, config);
     };
 
     exec::SweepRunner serial(1);

@@ -8,8 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
+#include "config/env.hh"
 #include "core/closed_loop.hh"
 #include "core/experiment.hh"
 #include "verify/verify.hh"
@@ -184,24 +183,24 @@ TEST(VerifyScope, NestsAndRestores)
 
 TEST(VerifyEnv, GateParsesIdpVerify)
 {
-    const char *prev = std::getenv("IDP_VERIFY");
-    const std::string saved = prev ? prev : "";
+    auto gate = [](const std::vector<std::string> &entries) {
+        core::SystemConfig system;
+        system.checkInvariants = !verify::kCompiledIn;
+        config::resolveEnv(entries).apply(system);
+        return system.checkInvariants;
+    };
+    EXPECT_EQ(gate({}), verify::kCompiledIn);
+    EXPECT_FALSE(gate({"IDP_VERIFY=0"}));
+    EXPECT_FALSE(gate({"IDP_VERIFY=off"}));
+    EXPECT_FALSE(gate({"IDP_VERIFY=false"}));
+    EXPECT_TRUE(gate({"IDP_VERIFY=1"}));
+}
 
-    ::unsetenv("IDP_VERIFY");
-    EXPECT_EQ(verify::enabledFromEnv(), verify::kCompiledIn);
-    ::setenv("IDP_VERIFY", "0", 1);
-    EXPECT_FALSE(verify::enabledFromEnv());
-    ::setenv("IDP_VERIFY", "off", 1);
-    EXPECT_FALSE(verify::enabledFromEnv());
-    ::setenv("IDP_VERIFY", "false", 1);
-    EXPECT_FALSE(verify::enabledFromEnv());
-    ::setenv("IDP_VERIFY", "1", 1);
-    EXPECT_EQ(verify::enabledFromEnv(), verify::kCompiledIn);
-
-    if (prev)
-        ::setenv("IDP_VERIFY", saved.c_str(), 1);
-    else
-        ::unsetenv("IDP_VERIFY");
+TEST(VerifyEnv, SystemConfigChecksByDefault)
+{
+    // runTrace, runClosedLoop and runService install a checker unless
+    // the config turns it off: on by default whenever compiled in.
+    EXPECT_EQ(core::SystemConfig{}.checkInvariants, verify::kCompiledIn);
 }
 
 // ---------------------------------------------------------------

@@ -7,9 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <sstream>
 
+#include "config/env.hh"
 #include "verify/oracle.hh"
 
 namespace {
@@ -21,12 +22,7 @@ oracleScale()
 {
     // IDP_SCALE trims oracle run lengths for smoke builds; the
     // tolerances are calibrated for the default scale of 1.
-    if (const char *env = std::getenv("IDP_SCALE")) {
-        const double s = std::atof(env);
-        if (s > 0.0 && s < 1.0)
-            return s;
-    }
-    return 1.0;
+    return std::min(config::resolveEnv().scale, 1.0);
 }
 
 TEST(VerifyOracle, SimulatorMatchesClosedForms)

@@ -44,13 +44,8 @@ if [ ! -f build/CMakeCache.txt ]; then
     fi
 fi
 cmake --build build -j "$(nproc 2>/dev/null || echo 2)"
-# Tracing and log-level overrides must not leak into the test suite:
-# the golden-determinism tests pin their own environment.
-env -u IDP_TRACE -u IDP_TRACE_SAMPLE -u IDP_LOG \
-    ctest --test-dir build --output-on-failure
+ctest --test-dir build --output-on-failure
 
-# Scale/thread overrides apply to the bench runs only — exporting them
-# before ctest would perturb env-sensitive tests (e.g. BenchScale).
 [ -n "$1" ] && export IDP_REQUESTS="$1"
 [ -n "$2" ] && export IDP_THREADS="$2"
 

@@ -31,8 +31,7 @@ fi
 cmake --build build -j "$(nproc 2>/dev/null || echo 2)"
 
 echo "== test suite (invariant checker hot) =="
-env -u IDP_TRACE -u IDP_TRACE_SAMPLE -u IDP_LOG IDP_VERIFY=1 \
-    ctest --test-dir build --output-on-failure
+ctest --test-dir build --output-on-failure
 
 echo "== bench sweep under the checker (IDP_REQUESTS=$REQUESTS) =="
 for b in build/bench/*; do
