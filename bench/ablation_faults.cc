@@ -17,8 +17,8 @@
 #include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
+#include "exec/fork_join.hh"
 #include "exec/sim_sweep.hh"
-#include "exec/sweep_runner.hh"
 #include "stats/table.hh"
 #include "workload/synthetic.hh"
 
@@ -90,11 +90,11 @@ main()
         for (bool degraded : {false, true})
             raid5_points.push_back({arms, degraded});
 
-    exec::SweepRunner runner(env.threads);
-    const auto raid5_rows = runner.map(
-        raid5_points,
-        [&trace, &env](const Raid5Point &pt, const exec::SweepPoint &)
+    const auto raid5_rows = exec::parallelMap(
+        raid5_points.size(), env.threads,
+        [&trace, &env, &raid5_points](std::size_t i)
             -> std::vector<std::string> {
+            const Raid5Point &pt = raid5_points[i];
             sim::Simulator simul;
             array::ArrayParams params;
             params.layout = array::Layout::Raid5;

@@ -98,7 +98,7 @@ struct ArrayParams
     /**
      * Online energy governor (power::Governor): per-drive RPM and
      * actuator-parking control under a latency SLO. Disabled by
-     * default; serial runs only (the PDES bridge rejects it).
+     * default; under PDES its control ticks run as serial steps.
      */
     power::GovernorParams governor;
 };

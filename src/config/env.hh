@@ -35,7 +35,7 @@
 
 #include "array/rebuild.hh"
 #include "core/experiment.hh"
-#include "exec/thread_pool.hh"
+#include "exec/fork_join.hh"
 #include "serve/service_loop.hh"
 #include "sim/logging.hh"
 #include "verify/verify.hh"
@@ -71,7 +71,7 @@ struct Env
     // -- benches, sweeps and tests ------------------------------------
     std::uint64_t requests = 0; ///< IDP_REQUESTS; 0 = each bench's own
     double scale = 1.0;         ///< IDP_SCALE
-    unsigned threads = exec::ThreadPool::hardwareThreads(); ///< IDP_THREADS
+    unsigned threads = exec::hardwareThreads(); ///< IDP_THREADS
     std::string csvDir;         ///< IDP_CSV_DIR; empty = no CSV export
     std::string benchOut = "."; ///< IDP_BENCH_OUT
     bool benchSmoke = false;    ///< IDP_BENCH_SMOKE

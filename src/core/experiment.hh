@@ -111,8 +111,8 @@ struct RunResult
      * Telemetry products, populated only when the run was traced.
      * The trace is shared so RunResult stays cheap to copy (sweep
      * slots move results around); spans ride inside the result, so
-     * the SweepRunner's index-ordered slots make any merge of traced
-     * runs deterministic at every sweep width.
+     * exec::parallelMap's index-ordered slots make any merge of
+     * traced runs deterministic at every sweep width.
      */
     std::shared_ptr<const telemetry::TraceData> trace;
     std::vector<telemetry::MetricSample> metrics;

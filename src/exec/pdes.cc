@@ -14,6 +14,8 @@ namespace exec {
 
 PdesRun::PdesRun(const array::ArrayParams &params, unsigned workers,
                  const telemetry::TraceOptions &trace_options)
+    // More workers than drives cannot help: windows are per drive.
+    : forkJoin_(std::min(workers, params.disks))
 {
     serialCoordConfig_ = params.layout == array::Layout::Raid1 ||
         params.governor.enabled;
@@ -33,8 +35,6 @@ PdesRun::PdesRun(const array::ArrayParams &params, unsigned workers,
     }
     inbox_.resize(params.disks);
     outbox_.resize(params.disks);
-    // More workers than drives cannot help: windows are per drive.
-    workers_ = std::max(1u, std::min(workers, params.disks));
 
     if (telemetry::kCompiledIn && trace_options.enabled) {
         driveTracers_.reserve(params.disks);
@@ -110,7 +110,7 @@ void
 PdesRun::run()
 {
     sim::simAssert(arr_ != nullptr, "pdes: setArray not called");
-    // Capture the run's thread-local currents once; worker tasks
+    // Capture the run's thread-local currents once; drive windows
     // re-install them so hooks and counters work off-main-thread.
     checker_ = verify::activeChecker();
     registry_ = telemetry::activeRegistry();
@@ -253,7 +253,7 @@ PdesRun::serialStep(sim::Tick t)
                     }
             if (!has)
                 continue;
-            driveWindowTask(i, t + 1);
+            runDriveWindow(i, t + 1);
             progress = true;
         }
         bool merge = arraySim_.nextEventTime() <= t;
@@ -298,26 +298,13 @@ PdesRun::runDrives()
         if (has)
             busy_.push_back(i);
     }
-    if (busy_.empty())
-        return;
-    if (workers_ <= 1 || busy_.size() == 1) {
-        // Not enough parallel work to pay for a hand-off.
-        for (std::uint32_t i : busy_)
-            driveWindowTask(i, horizon);
-        return;
-    }
-    if (!pool_)
-        pool_ = std::make_unique<ThreadPool>(workers_);
-    // Tasks read the horizon from the member, so each captures only
-    // [this, i] and fits std::function's inline buffer: a busy drive
-    // costs no heap allocation per round.
-    for (std::uint32_t i : busy_)
-        pool_->submit([this, i] { driveWindowTask(i, horizon_); });
-    pool_->wait();
+    forkJoin_.run(busy_.size(), [this, horizon](std::size_t k) {
+        runDriveWindow(busy_[k], horizon);
+    });
 }
 
 void
-PdesRun::driveWindowTask(std::uint32_t i, sim::Tick horizon)
+PdesRun::runDriveWindow(std::uint32_t i, sim::Tick horizon)
 {
     // The thread-local currents (checker / registry / tracer) belong
     // to the thread that started the run; install them for this
@@ -327,12 +314,6 @@ PdesRun::driveWindowTask(std::uint32_t i, sim::Tick horizon)
     telemetry::RegistryScope registry_scope(registry_);
     telemetry::TraceScope trace_scope(
         driveTracers_.empty() ? nullptr : driveTracers_[i].get());
-    runDriveWindow(i, horizon);
-}
-
-void
-PdesRun::runDriveWindow(std::uint32_t i, sim::Tick horizon)
-{
     sim::Simulator &s = *driveSims_[i];
     std::vector<InItem> &in = inbox_[i];
     // Deliveries apply in (tick, issue sequence) order, each one after

@@ -16,7 +16,7 @@
  *      into per-drive inbound queues (write bus movements are staged
  *      onto the array-phase calendar so channel occupancy stays in
  *      global tick order);
- *   B. every drive with work runs its window on a ThreadPool worker:
+ *   B. every drive with work runs its window (one ForkJoin job):
  *      consume inbox deliveries in (tick, sequence) order, fire local
  *      events, append completions to a private outbox — lock-free and
  *      allocation-free on the drive-local hot path;
@@ -68,7 +68,7 @@
 #include "array/array_bridge.hh"
 #include "array/storage_array.hh"
 #include "disk/disk_drive.hh"
-#include "exec/thread_pool.hh"
+#include "exec/fork_join.hh"
 #include "sim/event_queue.hh"
 #include "telemetry/tracer.hh"
 #include "verify/invariant_checker.hh"
@@ -150,7 +150,7 @@ class PdesRun final : public array::ArrayBridge
         return horizonHist_;
     }
 
-    unsigned workerCount() const { return workers_; }
+    unsigned workerCount() const { return forkJoin_.threads(); }
 
     /** Kernel gauges summed over every calendar. */
     std::uint64_t eventsFired() const;
@@ -216,8 +216,8 @@ class PdesRun final : public array::ArrayBridge
     void serialStep(sim::Tick t);
     /** Phase B: run every busy drive's window up to horizon_. */
     void runDrives();
-    /** Worker entry: installs the run's thread-local currents. */
-    void driveWindowTask(std::uint32_t i, sim::Tick horizon);
+    /** Run drive @p i's window up to @p horizon on the calling thread,
+     *  under the run's thread-local currents. */
     void runDriveWindow(std::uint32_t i, sim::Tick horizon);
     void mergePhase(sim::Tick horizon);
     void finishRun();
@@ -240,7 +240,6 @@ class PdesRun final : public array::ArrayBridge
     std::uint64_t rounds_ = 0;
     std::uint64_t serialSteps_ = 0;
     std::uint64_t deliverSeq_ = 0;
-    unsigned workers_ = 1;
 
     /** Coordinator events read live drive state (RAID-1 replica
      *  pricing, governor control ticks) — run them at serial steps. */
@@ -261,14 +260,15 @@ class PdesRun final : public array::ArrayBridge
     std::vector<sim::Tick> barriers_;
     std::uint64_t horizonHist_[kHorizonBuckets] = {};
 
-    /** Pool is created on the first round that has >= 2 busy drives;
-     *  private to this run, so pool_->wait() is a safe barrier. */
-    std::unique_ptr<ThreadPool> pool_;
-
     /** The run's thread-local currents, captured at run() start and
-     *  re-installed inside every worker task. */
+     *  re-installed inside every drive window. */
     verify::InvariantChecker *checker_ = nullptr;
     telemetry::Registry *registry_ = nullptr;
+
+    /** Runs phase B's drive windows; its threads count the workers,
+     *  the run's own thread included. Last, so its helpers are joined
+     *  before anything a window touches is destroyed. */
+    ForkJoin forkJoin_;
 };
 
 } // namespace exec

@@ -1,6 +1,6 @@
 #include "exec/sim_sweep.hh"
 
-#include "exec/sweep_runner.hh"
+#include "exec/fork_join.hh"
 
 namespace idp {
 namespace exec {
@@ -8,12 +8,9 @@ namespace exec {
 std::vector<core::RunResult>
 runSimPoints(const std::vector<SimPoint> &points, unsigned threads)
 {
-    SweepRunner runner(threads);
-    return runner.map(points,
-                      [](const SimPoint &point, const SweepPoint &) {
-                          return core::runTrace(*point.trace,
-                                                point.config);
-                      });
+    return parallelMap(points.size(), threads, [&points](std::size_t i) {
+        return core::runTrace(*points[i].trace, points[i].config);
+    });
 }
 
 std::vector<core::RunResult>
@@ -21,11 +18,9 @@ runSystems(const workload::Trace &trace,
            const std::vector<core::SystemConfig> &systems,
            unsigned threads)
 {
-    std::vector<SimPoint> points;
-    points.reserve(systems.size());
-    for (const auto &system : systems)
-        points.push_back(SimPoint{&trace, system});
-    return runSimPoints(points, threads);
+    return parallelMap(systems.size(), threads, [&](std::size_t i) {
+        return core::runTrace(trace, systems[i]);
+    });
 }
 
 } // namespace exec

@@ -32,8 +32,8 @@ struct SimPoint
     core::SystemConfig config;
 };
 
-/** Simulate every point on @p threads sweep workers; result i in
- *  slot i. */
+/** Simulate every point on @p threads threads, the caller included
+ *  (exec::parallelMap); result i in slot i. */
 std::vector<core::RunResult>
 runSimPoints(const std::vector<SimPoint> &points, unsigned threads);
 

@@ -7,7 +7,7 @@
 
 #include "array/storage_array.hh"
 #include "core/csv_export.hh"
-#include "exec/sweep_runner.hh"
+#include "exec/fork_join.hh"
 #include "serve/think_wheel.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -622,14 +622,12 @@ std::vector<ServeResult>
 runServePoints(const std::vector<ServePoint> &points, unsigned threads)
 {
     // Each point is a pure function of its (config, params) — the
-    // sweep's thread count can only change which worker runs it, so
+    // sweep's thread count can only change which thread runs it, so
     // index-ordered slots make the output byte-identical at any
     // width.
-    exec::SweepRunner runner(threads);
-    return runner.map(points,
-                      [](const ServePoint &pt, const exec::SweepPoint &) {
-                          return runService(pt.config, pt.params);
-                      });
+    return exec::parallelMap(points.size(), threads, [&](std::size_t i) {
+        return runService(points[i].config, points[i].params);
+    });
 }
 
 void

@@ -31,8 +31,8 @@ class Rng
 
     /**
      * Generator for stream @p index of the family rooted at @p base:
-     * Rng(streamSeed(base, index)). Sweep engines use one stream per
-     * sweep point so results do not depend on execution order.
+     * Rng(streamSeed(base, index)). A sweep point that seeds from
+     * its own stream gets the same numbers whatever thread runs it.
      */
     static Rng forStream(std::uint64_t base, std::uint64_t index);
 
@@ -81,9 +81,8 @@ class Rng
  * Two SplitMix64 mixing rounds (index first, then base) give an O(1),
  * order-independent mapping with well-separated streams: any two
  * distinct (base, index) pairs yield statistically independent
- * generators. This is what makes parallel sweeps bit-reproducible —
- * point i's randomness depends only on (base, i), never on which
- * thread ran it or in what order.
+ * generators. A point seeded from stream i of a family draws the same
+ * numbers whichever thread runs it, in whatever order.
  */
 std::uint64_t streamSeed(std::uint64_t base, std::uint64_t index);
 

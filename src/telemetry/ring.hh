@@ -3,8 +3,7 @@
  * Bounded single-writer span ring buffer.
  *
  * Each traced run appends spans to exactly one ring, owned by its
- * Tracer and touched only by the thread executing that run — the
- * per-thread arrangement the sweep engine relies on. The record path
+ * Tracer and written by one thread at a time. The record path
  * is therefore lock-free by construction: an index increment and a
  * 32-byte store, no atomics, no allocation after construction.
  *
@@ -12,7 +11,7 @@
  * recent window, like a flight recorder) and counts the overwrites so
  * exports can report truncation honestly. snapshot() returns spans in
  * insertion order; callers must only snapshot after the writing
- * thread is done (the SweepRunner's wait() provides that barrier).
+ * thread is done (ForkJoin::run returning is that barrier).
  */
 
 #ifndef IDP_TELEMETRY_RING_HH

@@ -3,13 +3,13 @@
  * Per-run span tracer.
  *
  * One Tracer belongs to one simulation run. Because a run executes
- * entirely on one thread (the sweep engine gives every point its own
- * worker), the tracer's ring is single-writer and the record path is
- * lock-free. Determinism contract with the PR-1 SweepRunner: sweep
+ * entirely on one thread (a sweep runs each point on whichever thread
+ * claims it), the tracer's ring is single-writer and the record path
+ * is lock-free. Determinism contract with exec::parallelMap: sweep
  * point i creates its own tracer, its spans ride back inside the
- * point's RunResult, and SweepRunner already stores result i in slot
- * i — so the merged trace (concatenate per-point spans in index
- * order) is byte-identical at any sweep width.
+ * point's RunResult, and parallelMap stores result i in slot i — so
+ * the merged trace (concatenate per-point spans in index order) is
+ * byte-identical at any sweep width.
  *
  * Two products per run:
  *  - an exact phase-time accumulation over *all* spans (attribution

@@ -5,10 +5,11 @@
  * The engine's contract is that thread count is unobservable in the
  * results: the same sweep at 1, 2 and 8 threads must produce
  * bit-identical histograms, power breakdowns and CSV bytes, because
- * every point draws randomness only from its own (base seed, index)
- * stream and results land in index-ordered slots. These tests pin
- * that contract, plus the engine's edge cases: exception propagation,
- * empty sweeps, more threads than points, and pool reuse.
+ * every point is a pure function of its seeded inputs and results
+ * land in index-ordered slots. These tests pin that contract, plus the
+ * fork-join's edge cases: every index once at any width, exception
+ * propagation, empty sweeps, more threads than points, and reuse of
+ * one instance across many runs.
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +21,8 @@
 #include "config/env.hh"
 #include "core/csv_export.hh"
 #include "core/experiment.hh"
+#include "exec/fork_join.hh"
 #include "exec/sim_sweep.hh"
-#include "exec/sweep_runner.hh"
-#include "exec/thread_pool.hh"
 #include "sim/rng.hh"
 #include "workload/synthetic.hh"
 
@@ -66,130 +66,97 @@ TEST(StreamSeed, NeighbouringStreamsDecorrelate)
 }
 
 // ---------------------------------------------------------------
-// ThreadPool
+// ForkJoin and parallelMap
 // ---------------------------------------------------------------
 
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    exec::ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 200; ++i)
-        pool.submit([&ran] { ++ran; });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 200);
-}
-
-TEST(ThreadPool, IsReusableAfterWait)
-{
-    exec::ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    for (int batch = 0; batch < 3; ++batch) {
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&ran] { ++ran; });
-        pool.wait();
-        EXPECT_EQ(ran.load(), (batch + 1) * 50);
-    }
-}
-
-TEST(ThreadPool, WaitOnIdlePoolReturnsImmediately)
-{
-    exec::ThreadPool pool(3);
-    pool.wait();
-    SUCCEED();
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks)
-{
-    std::atomic<int> ran{0};
-    {
-        exec::ThreadPool pool(2);
-        for (int i = 0; i < 64; ++i)
-            pool.submit([&ran] { ++ran; });
-        // No wait(): destruction must still run everything.
-    }
-    EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(ThreadPool, TasksCanSubmitMoreTasks)
-{
-    exec::ThreadPool pool(3);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i) {
-        pool.submit([&pool, &ran] {
-            ++ran;
-            pool.submit([&ran] { ++ran; });
-        });
-    }
-    pool.wait();
-    EXPECT_EQ(ran.load(), 16);
-}
-
-// ---------------------------------------------------------------
-// SweepRunner semantics
-// ---------------------------------------------------------------
-
-TEST(SweepRunner, ResultsLandInIndexOrder)
+TEST(ForkJoin, RunsEachIndexExactlyOnceAtEveryWidth)
 {
     for (unsigned threads : {1u, 2u, 8u}) {
-        exec::SweepRunner runner(threads);
-        const auto out = runner.run(
-            37, [](const exec::SweepPoint &p) { return p.index * 3; });
+        exec::ForkJoin fork_join(threads);
+        EXPECT_EQ(fork_join.threads(), threads);
+        // Fewer indices than threads, more, far more.
+        for (std::size_t n : {std::size_t{threads - 1},
+                              std::size_t{threads + 1},
+                              std::size_t{1000}}) {
+            SCOPED_TRACE("threads " + std::to_string(threads) + ", n " +
+                         std::to_string(n));
+            std::vector<std::atomic<int>> calls(n);
+            fork_join.run(n, [&calls](std::size_t i) { ++calls[i]; });
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(calls[i].load(), 1) << "index " << i;
+        }
+    }
+}
+
+TEST(ForkJoin, EmptyRunReturnsWithoutCalling)
+{
+    for (unsigned threads : {1u, 2u, 8u}) {
+        exec::ForkJoin fork_join(threads);
+        std::atomic<int> calls{0};
+        fork_join.run(0, [&calls](std::size_t) { ++calls; });
+        EXPECT_EQ(calls.load(), 0) << "threads " << threads;
+        // The idle helpers still take the next job.
+        fork_join.run(threads, [&calls](std::size_t) { ++calls; });
+        EXPECT_EQ(calls.load(), static_cast<int>(threads))
+            << "threads " << threads;
+    }
+}
+
+TEST(ForkJoin, SurvivesTenThousandBackToBackRuns)
+{
+    // The PDES engine's pattern: one instance, one short job per
+    // synchronization round.
+    exec::ForkJoin fork_join(4);
+    std::vector<std::uint64_t> sums(8, 0);
+    for (int round = 0; round < 10000; ++round)
+        fork_join.run(1 + round % sums.size(),
+                      [&sums](std::size_t i) { sums[i] += i + 1; });
+    for (std::size_t i = 0; i < sums.size(); ++i)
+        EXPECT_EQ(sums[i], (i + 1) * (10000 / sums.size() *
+                                      (sums.size() - i)));
+}
+
+TEST(ForkJoin, MapResultsLandInIndexOrder)
+{
+    for (unsigned threads : {1u, 2u, 8u}) {
+        const auto out = exec::parallelMap(
+            37, threads, [](std::size_t i) { return i * 3; });
         ASSERT_EQ(out.size(), 37u);
         for (std::size_t i = 0; i < out.size(); ++i)
             EXPECT_EQ(out[i], i * 3);
     }
 }
 
-TEST(SweepRunner, EmptySweepReturnsEmpty)
+TEST(ForkJoin, MapOfNothingIsEmpty)
 {
     for (unsigned threads : {1u, 8u}) {
-        exec::SweepRunner runner(threads);
-        const auto out = runner.run(
-            0, [](const exec::SweepPoint &) { return 1; });
+        const auto out = exec::parallelMap(
+            0, threads, [](std::size_t) { return 1; });
         EXPECT_TRUE(out.empty());
     }
 }
 
-TEST(SweepRunner, MoreThreadsThanPoints)
+TEST(ForkJoin, MapWithMoreThreadsThanPoints)
 {
-    exec::SweepRunner runner(8);
-    const auto out = runner.run(
-        3, [](const exec::SweepPoint &p) { return p.seed; });
+    const auto out = exec::parallelMap(3, 8, [](std::size_t i) {
+        return sim::streamSeed(99, i);
+    });
     ASSERT_EQ(out.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i)
-        EXPECT_EQ(out[i], sim::streamSeed(exec::kDefaultSweepSeed, i));
+        EXPECT_EQ(out[i], sim::streamSeed(99, i));
 }
 
-TEST(SweepRunner, PointSeedsAreThreadCountInvariant)
-{
-    exec::SweepRunner serial(1, 99);
-    exec::SweepRunner wide(8, 99);
-    const auto point_seed = [](const exec::SweepPoint &p) {
-        return p.seed;
-    };
-    EXPECT_EQ(serial.run(16, point_seed), wide.run(16, point_seed));
-}
-
-TEST(SweepRunner, MapPassesItemAndPoint)
-{
-    const std::vector<int> items = {5, 7, 9};
-    exec::SweepRunner runner(2);
-    const auto out = runner.map(
-        items, [](int item, const exec::SweepPoint &p) {
-            return item * 100 + static_cast<int>(p.index);
-        });
-    EXPECT_EQ(out, (std::vector<int>{500, 701, 902}));
-}
-
-TEST(SweepRunner, PropagatesLowestIndexException)
+TEST(ForkJoin, MapRunsEveryPointThenRethrowsLowestIndexException)
 {
     for (unsigned threads : {1u, 4u}) {
-        exec::SweepRunner runner(threads);
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        std::vector<std::atomic<int>> calls(10);
         try {
-            runner.run(10, [](const exec::SweepPoint &p) -> int {
-                if (p.index == 3 || p.index == 7)
-                    throw std::runtime_error(
-                        "point " + std::to_string(p.index));
+            exec::parallelMap(10, threads, [&calls](std::size_t i) {
+                ++calls[i];
+                if (i == 3 || i == 7)
+                    throw std::runtime_error("point " +
+                                             std::to_string(i));
                 return 0;
             });
             FAIL() << "sweep should have thrown";
@@ -198,33 +165,34 @@ TEST(SweepRunner, PropagatesLowestIndexException)
             // regardless of which thread finished first.
             EXPECT_STREQ(e.what(), "point 3");
         }
+        // Every point ran once, the serial width included.
+        for (std::size_t i = 0; i < calls.size(); ++i)
+            EXPECT_EQ(calls[i].load(), 1) << "point " << i;
     }
 }
 
-TEST(SweepRunner, SurvivesExceptionAndRunsAgain)
+TEST(ForkJoin, MapSurvivesExceptionAndRunsAgain)
 {
-    exec::SweepRunner runner(4);
-    EXPECT_THROW(runner.run(5,
-                            [](const exec::SweepPoint &) -> int {
-                                throw std::runtime_error("boom");
-                            }),
+    EXPECT_THROW(exec::parallelMap(5, 4,
+                                   [](std::size_t) -> int {
+                                       throw std::runtime_error("boom");
+                                   }),
                  std::runtime_error);
-    const auto out = runner.run(
-        5, [](const exec::SweepPoint &p) { return p.index; });
+    const auto out =
+        exec::parallelMap(5, 4, [](std::size_t i) { return i; });
     ASSERT_EQ(out.size(), 5u);
     EXPECT_EQ(out[4], 4u);
 }
 
-TEST(SweepRunner, HonoursIdpThreadsEnv)
+TEST(ForkJoin, HonoursIdpThreadsEnv)
 {
     const unsigned three = config::resolveEnv({"IDP_THREADS=3"}).threads;
     EXPECT_EQ(three, 3u);
-    EXPECT_EQ(exec::SweepRunner(three).threads(), 3u);
+    EXPECT_EQ(exec::ForkJoin(three).threads(), 3u);
     EXPECT_EQ(config::resolveEnv({"IDP_THREADS=1"}).threads, 1u);
-    EXPECT_EQ(config::resolveEnv({}).threads,
-              exec::ThreadPool::hardwareThreads());
-    // Widths 0 and 1 both take the serial path.
-    EXPECT_EQ(exec::SweepRunner(0).threads(), 1u);
+    EXPECT_EQ(config::resolveEnv({}).threads, exec::hardwareThreads());
+    // Widths 0 and 1 both leave the caller working alone.
+    EXPECT_EQ(exec::ForkJoin(0).threads(), 1u);
 }
 
 // ---------------------------------------------------------------
@@ -235,25 +203,25 @@ std::vector<core::RunResult>
 runMiniSweep(unsigned threads)
 {
     // A realistic mini-sweep: each point generates its own workload
-    // from its private RNG stream (seed AND sampled parameters) and
+    // from its own RNG stream (seed AND sampled parameters) and
     // simulates a different drive configuration.
-    exec::SweepRunner runner(threads, /*base_seed=*/0xD15C);
-    return runner.run(6, [](const exec::SweepPoint &point) {
-        sim::Rng rng = point.rng();
+    return exec::parallelMap(6, threads, [](std::size_t point) {
+        const std::uint64_t seed = sim::streamSeed(0xD15C, point);
+        sim::Rng rng(seed);
         workload::SyntheticParams wp;
         wp.requests = 1500;
-        wp.seed = point.seed;
+        wp.seed = seed;
         wp.meanInterArrivalMs = rng.uniform(2.0, 10.0);
         wp.readFraction = rng.uniform(0.4, 0.8);
 
-        const std::uint32_t actuators = 1u << (point.index % 3);
+        const std::uint32_t actuators = 1u << (point % 3);
         disk::DriveSpec drive = disk::barracudaEs750();
         if (actuators > 1)
             drive = disk::makeIntraDiskParallel(drive, actuators);
         const core::SystemConfig config = core::makeRaid0System(
             "SA(" + std::to_string(actuators) + ")#" +
-                std::to_string(point.index),
-            drive, 1 + static_cast<std::uint32_t>(point.index % 2));
+                std::to_string(point),
+            drive, 1 + static_cast<std::uint32_t>(point % 2));
         return core::runTrace(workload::generateSynthetic(wp), config);
     });
 }

@@ -24,7 +24,7 @@
 #include "core/csv_export.hh"
 #include "core/experiment.hh"
 #include "disk/disk_drive.hh"
-#include "exec/sweep_runner.hh"
+#include "exec/fork_join.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "verify/verify.hh"
@@ -251,21 +251,20 @@ goldenPath()
 std::string
 runDeepScenario(unsigned threads)
 {
-    exec::SweepRunner runner(threads, /*base_seed=*/0xDEE9);
-    const auto results = runner.run(
-        8, [](const exec::SweepPoint &point) {
+    const auto results = exec::parallelMap(
+        8, threads, [](std::size_t point) {
             workload::SyntheticParams wp;
             wp.requests = 3000;
-            wp.seed = point.seed;
+            wp.seed = sim::streamSeed(0xDEE9, point);
             wp.meanInterArrivalMs = 0.25; // saturating arrival rate
             DriveSpec drive = disk::makeIntraDiskParallel(
-                disk::barracudaEs750(), 1 + point.index % 4);
-            drive.sched.policy = point.index % 2 == 0
+                disk::barracudaEs750(), 1 + point % 4);
+            drive.sched.policy = point % 2 == 0
                 ? sched::Policy::Sptf
                 : sched::Policy::SptfAged;
             drive.schedWindow = 256;
             const core::SystemConfig config = core::makeRaid0System(
-                "deepq#" + std::to_string(point.index), drive, 1);
+                "deepq#" + std::to_string(point), drive, 1);
             return core::runTrace(workload::generateSynthetic(wp),
                                   config);
         });

@@ -13,7 +13,7 @@
 #include "core/csv_export.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
-#include "exec/sweep_runner.hh"
+#include "exec/fork_join.hh"
 #include "telemetry/ring.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace_export.hh"
@@ -357,19 +357,17 @@ TEST(SweepDeterminism, TracedSweepIdenticalAcrossThreadCounts)
 {
     REQUIRE_TELEMETRY();
     const auto trace = smallTrace(800);
-    auto point_fn = [&trace](const exec::SweepPoint &point) {
+    auto point_fn = [&trace](std::size_t point) {
         core::SystemConfig config = core::makeRaid0System(
-            "sweep-" + std::to_string(point.index),
+            "sweep-" + std::to_string(point),
             disk::enterpriseDrive(2.0, 10000, 2),
-            1 + static_cast<std::uint32_t>(point.index % 3));
+            1 + static_cast<std::uint32_t>(point % 3));
         config.tracing.enabled = true;
         return core::runTrace(trace, config);
     };
 
-    exec::SweepRunner serial(1);
-    exec::SweepRunner wide(8);
-    const auto a = serial.run(6, point_fn);
-    const auto b = wide.run(6, point_fn);
+    const auto a = exec::parallelMap(6, 1, point_fn);
+    const auto b = exec::parallelMap(6, 8, point_fn);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         ASSERT_NE(a[i].trace, nullptr);
