@@ -93,12 +93,16 @@ std::string
 BenchReport::write(const std::string &dir) const
 {
     const std::string path = dir + "/BENCH_" + bench_ + ".json";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
+    // A report that silently fails to land would leave the gates
+    // checking whatever file was there before, so stop the bench.
+    auto cannotWrite = [&path] {
         std::fprintf(stderr, "bench_json: cannot write %s\n",
                      path.c_str());
-        return "";
-    }
+        std::exit(EXIT_FAILURE);
+    };
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr)
+        cannotWrite();
     std::fprintf(f, "{\n  \"schema\": \"idp-bench-v1\",\n");
     std::fprintf(f, "  \"bench\": \"%s\",\n", bench_.c_str());
     std::fprintf(f, "  \"metrics\": [\n");
@@ -111,7 +115,8 @@ BenchReport::write(const std::string &dir) const
                      i + 1 < metrics_.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    if (std::ferror(f) != 0 || std::fclose(f) != 0)
+        cannotWrite();
     std::fprintf(stderr, "bench_json: wrote %s\n", path.c_str());
     return path;
 }

@@ -54,6 +54,8 @@ class BenchReport
 
     /**
      * Write BENCH_<bench>.json into @p dir (mains pass IDP_BENCH_OUT).
+     * Exits non-zero, naming the path, when the report cannot be
+     * written.
      * @return the path written.
      */
     std::string write(const std::string &dir) const;

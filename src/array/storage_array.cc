@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "array/array_bridge.hh"
 #include "array/rebuild.hh"
@@ -12,6 +13,38 @@
 
 namespace idp {
 namespace array {
+
+namespace {
+
+const char *
+layoutName(Layout layout)
+{
+    switch (layout) {
+    case Layout::PassThrough:
+        return "pass-through";
+    case Layout::Concat:
+        return "concat";
+    case Layout::Raid0:
+        return "raid0";
+    case Layout::Raid1:
+        return "raid1";
+    case Layout::Raid5:
+        return "raid5";
+    }
+    return "unknown";
+}
+
+/** Failure and rebuild are config errors on a layout with no
+ *  redundancy: there is no surviving copy to serve or rebuild from. */
+void
+requireRedundancy(Layout layout, const char *what)
+{
+    if (layout != Layout::Raid1 && layout != Layout::Raid5)
+        sim::fatal(std::string("array: layout ") + layoutName(layout) +
+                   " has no redundancy to " + what);
+}
+
+} // namespace
 
 StorageArray::StorageArray(sim::Simulator &simul,
                            const ArrayParams &params,
@@ -167,11 +200,10 @@ StorageArray::failDisk(std::uint32_t idx)
     sim::simAssert(bridge_ == nullptr || bridge_->atSerialStep(),
                    "array: failDisk inside a conservative window "
                    "(schedule it through scheduleFailDisk)");
-    sim::simAssert(params_.layout == Layout::Raid1 ||
-                       params_.layout == Layout::Raid5,
-                   "array: layout has no redundancy to degrade into");
+    requireRedundancy(params_.layout, "degrade into");
     if (failed_[idx])
-        return;
+        sim::fatal("array: disk " + std::to_string(idx) +
+                   " is already failed");
     if (params_.layout == Layout::Raid1) {
         const std::uint32_t mirror = idx ^ 1u;
         sim::simAssert(!failed_[mirror],
@@ -198,6 +230,7 @@ StorageArray::startRebuild(std::uint32_t idx,
                            const RebuildParams &params)
 {
     sim::simAssert(idx < disks_.size(), "array: bad disk index");
+    requireRedundancy(params_.layout, "rebuild from");
     sim::simAssert(failed_[idx],
                    "array: rebuild target is not failed");
     sim::simAssert(rebuild_ == nullptr || rebuild_->done(),

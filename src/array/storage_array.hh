@@ -195,7 +195,8 @@ class StorageArray
      * redundant layouts survive this: Raid1 serves from the mirror,
      * Raid5 reconstructs reads from the surviving row members and
      * maintains parity-only writes. Fatal on layouts with no
-     * redundancy, or when redundancy is already exhausted.
+     * redundancy and on a disk that is already failed; panics when
+     * redundancy is already exhausted.
      */
     void failDisk(std::uint32_t idx);
 
@@ -212,7 +213,7 @@ class StorageArray
      * run or a bridge with barrier support (dynamic-horizon PDES);
      * under PDES call it through scheduleStartRebuild so the start
      * tick is barrier-synchronized. Requires diskFailed(idx) and no
-     * rebuild already running.
+     * rebuild already running; fatal on a layout with no redundancy.
      */
     void startRebuild(std::uint32_t idx, const RebuildParams &params);
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "array/rebuild.hh"
 #include "array/storage_array.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -225,6 +226,26 @@ TEST(DegradedRaid, NonRedundantLayoutsRefuse)
     p.drive = smallDrive();
     Harness h(p);
     EXPECT_DEATH(h.arr.failDisk(0), "no redundancy");
+}
+
+TEST(DegradedRaid, FailingAFailedMemberIsAConfigError)
+{
+    Harness h(raid1());
+    h.arr.failDisk(0);
+    EXPECT_EXIT(h.arr.failDisk(0), ::testing::ExitedWithCode(1),
+                "fatal: array: disk 0 is already failed");
+}
+
+TEST(DegradedRaid, RebuildingANonRedundantLayoutIsAConfigError)
+{
+    ArrayParams p;
+    p.layout = Layout::Raid0;
+    p.disks = 4;
+    p.drive = smallDrive();
+    Harness h(p);
+    EXPECT_EXIT(h.arr.startRebuild(0, array::RebuildParams{}),
+                ::testing::ExitedWithCode(1),
+                "fatal: array: layout raid0 has no redundancy");
 }
 
 } // namespace

@@ -34,9 +34,13 @@ echo "== test suite (invariant checker hot) =="
 ctest --test-dir build --output-on-failure
 
 echo "== bench sweep under the checker (IDP_REQUESTS=$REQUESTS) =="
+# Reports go to a throwaway directory, never over the committed ones.
+BENCH_OUT=$(mktemp -d)
+trap 'rm -rf "$BENCH_OUT"' EXIT
 for b in build/bench/*; do
     name=$(basename "$b")
     echo "== $name =="
-    IDP_VERIFY=1 IDP_REQUESTS="$REQUESTS" "$b" > /dev/null
+    IDP_VERIFY=1 IDP_REQUESTS="$REQUESTS" IDP_BENCH_OUT="$BENCH_OUT" \
+        "$b" > /dev/null
 done
 echo "verify_all.sh: all tests, oracles, and benches clean."
