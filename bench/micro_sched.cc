@@ -21,7 +21,6 @@
 #include "disk/disk_drive.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "telemetry/telemetry.hh"
 
 namespace {
 
@@ -48,9 +47,6 @@ LoadResult
 runLoad(const config::Env &env, std::uint32_t depth, bool prune,
         std::uint64_t total)
 {
-    telemetry::Registry registry;
-    telemetry::RegistryScope scope(&registry);
-
     disk::DriveSpec spec =
         disk::makeIntraDiskParallel(disk::barracudaEs750(), 4);
     spec.sched.policy = sched::Policy::Sptf;
@@ -80,13 +76,7 @@ runLoad(const config::Env &env, std::uint32_t depth, bool prune,
             drive.submit(req);
         });
     span = drive.geometry().totalSectors() - 64;
-
-    auto counter = [&](const char *name) {
-        for (const auto &row : registry.snapshot())
-            if (row.name == name)
-                return row.value;
-        return 0.0;
-    };
+    const disk::DriveStats &st = drive.stats();
 
     // Prime the loop to the target depth.
     for (std::uint32_t i = 0; i < depth; ++i) {
@@ -106,11 +96,10 @@ runLoad(const config::Env &env, std::uint32_t depth, bool prune,
     while (remaining > warm_until && simul.step()) {
     }
 
-    const double sel0 = counter("sched.selections");
-    const double priced0 = counter("sched.candidates_priced");
-    const double pruned0 = counter("sched.candidates_pruned");
-    const double disp0 =
-        static_cast<double>(drive.stats().mediaAccesses);
+    const double sel0 = static_cast<double>(st.selections);
+    const double priced0 = static_cast<double>(st.candidatesPriced);
+    const double pruned0 = static_cast<double>(st.candidatesPruned);
+    const double disp0 = static_cast<double>(st.mediaAccesses);
     const std::uint64_t allocs0 = benchjson::allocCount();
     const auto t0 = Clock::now();
     // Measured window: steady state only — stop once the last
@@ -118,16 +107,14 @@ runLoad(const config::Env &env, std::uint32_t depth, bool prune,
     while (remaining > 0 && simul.step()) {
     }
     const auto t1 = Clock::now();
-    // Read the allocator before the snapshot queries below allocate.
     const std::uint64_t allocs1 = benchjson::allocCount();
     simul.run(); // drain the tail outside the measured window
 
     LoadResult r;
-    r.selections = counter("sched.selections") - sel0;
-    r.priced = counter("sched.candidates_priced") - priced0;
-    r.pruned = counter("sched.candidates_pruned") - pruned0;
-    r.dispatches =
-        static_cast<double>(drive.stats().mediaAccesses) - disp0;
+    r.selections = static_cast<double>(st.selections) - sel0;
+    r.priced = static_cast<double>(st.candidatesPriced) - priced0;
+    r.pruned = static_cast<double>(st.candidatesPruned) - pruned0;
+    r.dispatches = static_cast<double>(st.mediaAccesses) - disp0;
     r.secs = std::chrono::duration<double>(t1 - t0).count();
     r.allocs = static_cast<double>(allocs1 - allocs0);
     return r;

@@ -21,10 +21,11 @@ RebuildEngine::RebuildEngine(StorageArray &arr,
     progress_.chunksTotal =
         (arr_.diskSectors_ + params_.chunkSectors - 1) /
         params_.chunkSectors;
-    ctrChunks_ = telemetry::counterHandle("rebuild.chunks");
-    ctrReads_ = telemetry::counterHandle("rebuild.reads");
-    ctrSpareWrites_ = telemetry::counterHandle("rebuild.spare_writes");
-    ctrYields_ = telemetry::counterHandle("rebuild.yields");
+    counts_.expose(telemetry::activeRegistry(),
+                   {{"rebuild.chunks", &progress_.chunksStarted},
+                    {"rebuild.reads", &progress_.readSubs},
+                    {"rebuild.spare_writes", &progress_.spareWrites},
+                    {"rebuild.yields", &progress_.yields}});
 }
 
 void
@@ -64,7 +65,6 @@ RebuildEngine::pump()
             params_.yieldDepth)
             continue;
         ++progress_.yields;
-        telemetry::bump(ctrYields_);
         const sim::Tick wait =
             std::max<sim::Tick>(1, sim::msToTicks(params_.yieldMs));
         arr_.sim_.schedule(now + wait, [this] { pump(); });
@@ -88,7 +88,7 @@ RebuildEngine::issueChunkReads()
     chunkSectors_ = c;
     nextIssueAt_ = std::max(now, nextIssueAt_) + rateTicks(c);
     verify::onRebuildChunk(progress_.chunksDone);
-    telemetry::bump(ctrChunks_);
+    ++progress_.chunksStarted;
 
     // RAID-1: the mirror twin. RAID-5: every surviving member — a
     // row is the same LBA range on each disk, and XOR over all
@@ -112,7 +112,6 @@ RebuildEngine::issueChunkReads()
         r.background = true;
         ++readsOutstanding_;
         ++progress_.readSubs;
-        telemetry::bump(ctrReads_);
         arr_.disks_[m]->submit(r);
     }
     sim::simAssert(readsOutstanding_ > 0,
@@ -124,7 +123,6 @@ RebuildEngine::issueSpareWrite()
 {
     const sim::Tick now = arr_.sim_.now();
     verify::onRebuildSpareWrite(progress_.chunksDone);
-    telemetry::bump(ctrSpareWrites_);
     ++progress_.spareWrites;
     writeOutstanding_ = true;
     workload::IoRequest w;

@@ -74,6 +74,7 @@ struct RebuildParams
 struct RebuildProgress
 {
     bool done = false;
+    std::uint64_t chunksStarted = 0; ///< chunks whose reads issued
     std::uint64_t chunksDone = 0;
     std::uint64_t chunksTotal = 0;
     std::uint64_t readSubs = 0;     ///< reconstruction reads issued
@@ -162,10 +163,7 @@ class RebuildEngine
     sim::Tick nextIssueAt_ = 0;
     std::uint64_t nextSubId_ = 0;
 
-    telemetry::Counter *ctrChunks_ = nullptr;
-    telemetry::Counter *ctrReads_ = nullptr;
-    telemetry::Counter *ctrSpareWrites_ = nullptr;
-    telemetry::Counter *ctrYields_ = nullptr;
+    telemetry::CountSource counts_;
 };
 
 } // namespace array

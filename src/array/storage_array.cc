@@ -126,14 +126,15 @@ StorageArray::StorageArray(sim::Simulator &simul,
         if (bridge_ != nullptr)
             disks_.back()->trackCompletionBounds(true);
     }
-    ctrLogical_ = telemetry::counterHandle("array.logical_requests");
-    ctrSubs_ = telemetry::counterHandle("array.sub_requests");
-    ctrSubClamped_ = telemetry::counterHandle("array.sub_clamped");
-    ctrDroppedSubs_ =
-        telemetry::counterHandle("array.dropped_sub_completions");
-    ctrReplicaPriced_ =
-        telemetry::counterHandle("array.replica_priced");
-    ctrReplicaTies_ = telemetry::counterHandle("array.replica_ties");
+    counts_.expose(
+        telemetry::activeRegistry(),
+        {{"array.logical_requests", &stats_.logicalArrivals},
+         {"array.sub_requests", &stats_.subRequests},
+         {"array.sub_clamped", &stats_.subClamped},
+         {"array.dropped_sub_completions",
+          &stats_.droppedSubCompletions},
+         {"array.replica_priced", &stats_.replicaPriced},
+         {"array.replica_ties", &stats_.replicaTies}});
     diskSectors_ = disks_[0]->geometry().totalSectors();
     failed_.assign(params_.disks, false);
 
@@ -323,14 +324,14 @@ StorageArray::submitSub(std::uint32_t disk_idx, workload::IoRequest sub,
     // to the last in-range start so the drive still accepts it — the
     // old modulo even excluded the valid lba == diskSectors_ - sectors.
     if (sub.lba + sub.sectors > diskSectors_) {
-        telemetry::bump(ctrSubClamped_);
+        ++stats_.subClamped;
         verify::onArraySubRange(disk_idx, sub.lba, sub.sectors,
                                 diskSectors_);
         if (sub.sectors > diskSectors_)
             sub.sectors = static_cast<std::uint32_t>(diskSectors_);
         sub.lba = diskSectors_ - sub.sectors;
     }
-    telemetry::bump(ctrSubs_);
+    ++stats_.subRequests;
     verify::onArraySub(join_id);
     if (bus_ && !sub.isRead) {
         if (bridge_) {
@@ -393,7 +394,6 @@ void
 StorageArray::submit(const workload::IoRequest &req)
 {
     ++stats_.logicalArrivals;
-    telemetry::bump(ctrLogical_);
     if (governor_)
         governor_->noteActivity();
     // Fan-out marker; sub-request spans carry the join id instead of
@@ -462,10 +462,10 @@ StorageArray::pickReplica(std::uint32_t a, std::uint32_t b,
     const sim::Tick pa = disks_[a]->readPriceTicks(sub.lba, sub.sectors);
     const sim::Tick pb = disks_[b]->readPriceTicks(sub.lba, sub.sectors);
     if (pa != pb) {
-        telemetry::bump(ctrReplicaPriced_);
+        ++stats_.replicaPriced;
         return pa < pb ? a : b;
     }
-    telemetry::bump(ctrReplicaTies_);
+    ++stats_.replicaTies;
     if (disks_[a]->queueDepth() != disks_[b]->queueDepth())
         return disks_[a]->queueDepth() < disks_[b]->queueDepth() ? a
                                                                  : b;
@@ -641,10 +641,8 @@ StorageArray::onSubComplete(std::uint32_t disk_idx,
     // without feeding service statistics, and taints the join so the
     // logical response sample is not recorded as healthy service.
     const bool dropped = failed_[disk_idx];
-    if (dropped) {
+    if (dropped)
         ++stats_.droppedSubCompletions;
-        telemetry::bump(ctrDroppedSubs_);
-    }
     if (!info.cacheHit && !dropped) {
         const double rot_ms = sim::ticksToMs(info.rotTicks);
         stats_.rotMs.add(rot_ms);

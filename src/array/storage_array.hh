@@ -35,6 +35,7 @@
 #include "sim/id_table.hh"
 #include "stats/histogram.hh"
 #include "stats/sampler.hh"
+#include "telemetry/telemetry.hh"
 #include "workload/request.hh"
 
 namespace idp {
@@ -112,6 +113,15 @@ struct ArrayStats
 {
     std::uint64_t logicalArrivals = 0;
     std::uint64_t logicalCompletions = 0;
+    /** Member accesses the fan-outs issued (RAID-5 deferred writes
+     *  included), and those whose range had to be pinned inside the
+     *  member. */
+    std::uint64_t subRequests = 0;
+    std::uint64_t subClamped = 0;
+    /** RAID-1 positioning-priced reads: routed by a price difference,
+     *  or tied and routed by queue depth / round-robin. */
+    std::uint64_t replicaPriced = 0;
+    std::uint64_t replicaTies = 0;
     /**
      * Sub-requests that completed on a member that had already been
      * taken offline by failDisk(): the completion is dropped with
@@ -315,13 +325,7 @@ class StorageArray
     std::unique_ptr<RebuildEngine> rebuild_;
     std::unique_ptr<power::Governor> governor_;
     ArrayStats stats_;
-    /** Registry handles (null when no registry is installed). */
-    telemetry::Counter *ctrLogical_ = nullptr;
-    telemetry::Counter *ctrSubs_ = nullptr;
-    telemetry::Counter *ctrSubClamped_ = nullptr;
-    telemetry::Counter *ctrDroppedSubs_ = nullptr;
-    telemetry::Counter *ctrReplicaPriced_ = nullptr;
-    telemetry::Counter *ctrReplicaTies_ = nullptr;
+    telemetry::CountSource counts_;
 
     /** Clock of whichever phase is executing (sim_ when serial). */
     sim::Tick tnow() const;

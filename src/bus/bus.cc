@@ -16,8 +16,9 @@ Bus::Bus(sim::Simulator &simul, const BusParams &params)
     sim::simAssert(params.perTransferOverheadMs >= 0.0,
                    "bus: negative overhead");
     channelFreeAt_.assign(params.channels, 0);
-    ctrTransfers_ = telemetry::counterHandle("bus.transfers");
-    ctrBytes_ = telemetry::counterHandle("bus.bytes_moved");
+    counts_.expose(telemetry::activeRegistry(),
+                   {{"bus.transfers", &stats_.transfers},
+                    {"bus.bytes_moved", &stats_.bytesMoved}});
 }
 
 sim::Tick
@@ -52,8 +53,6 @@ Bus::transferBooked(std::uint64_t bytes, std::uint64_t request_id)
     stats_.bytesMoved += bytes;
     stats_.busyTicks += duration;
     stats_.queueTicks += start - now;
-    telemetry::bump(ctrTransfers_);
-    telemetry::bump(ctrBytes_, bytes);
     // Span covers channel wait plus the movement itself.
     telemetry::emitSpan(request_id, telemetry::SpanKind::Bus, now, end);
     return end;

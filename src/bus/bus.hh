@@ -131,9 +131,7 @@ class Bus
     /** Earliest time each channel frees up. */
     std::vector<sim::Tick> channelFreeAt_;
     BusStats stats_;
-    /** Registry handles (null when no registry is installed). */
-    telemetry::Counter *ctrTransfers_ = nullptr;
-    telemetry::Counter *ctrBytes_ = nullptr;
+    telemetry::CountSource counts_;
 };
 
 } // namespace bus

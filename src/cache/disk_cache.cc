@@ -27,10 +27,6 @@ DiskCache::DiskCache(const CacheParams &params) : params_(params)
     segmentSectors_ = static_cast<std::uint32_t>(
         params.cacheBytes / params.segments / geom::kSectorBytes);
     segments_.resize(params.segments);
-    ctrReadHits_ = telemetry::counterHandle("cache.read_hits");
-    ctrReadMisses_ = telemetry::counterHandle("cache.read_misses");
-    ctrWriteAbsorbed_ = telemetry::counterHandle("cache.write_absorbed");
-    ctrWriteThrough_ = telemetry::counterHandle("cache.write_through");
 }
 
 DiskCache::Segment *
@@ -89,11 +85,9 @@ DiskCache::readLookup(geom::Lba lba, std::uint32_t sectors)
     if (seg != nullptr) {
         seg->lastUse = ++useClock_;
         ++stats_.readHits;
-        telemetry::bump(ctrReadHits_);
         return true;
     }
     ++stats_.readMisses;
-    telemetry::bump(ctrReadMisses_);
     return false;
 }
 
@@ -118,14 +112,12 @@ DiskCache::write(geom::Lba lba, std::uint32_t sectors)
     if (!params_.writeBack) {
         invalidateOverlap(lba, sectors);
         ++stats_.writeMisses;
-        telemetry::bump(ctrWriteThrough_);
         return false;
     }
     if (sectors > segmentSectors_) {
         // Larger than a segment: bypass the cache entirely.
         invalidateOverlap(lba, sectors);
         ++stats_.writeMisses;
-        telemetry::bump(ctrWriteThrough_);
         return false;
     }
     invalidateOverlap(lba, sectors);
@@ -146,7 +138,6 @@ DiskCache::write(geom::Lba lba, std::uint32_t sectors)
     }
     if (slot == nullptr) {
         ++stats_.writeMisses;
-        telemetry::bump(ctrWriteThrough_);
         return false;
     }
     Segment &seg = *slot;
@@ -156,7 +147,6 @@ DiskCache::write(geom::Lba lba, std::uint32_t sectors)
     seg.sectors = sectors;
     seg.lastUse = ++useClock_;
     ++stats_.writeHits;
-    telemetry::bump(ctrWriteAbsorbed_);
     return true;
 }
 

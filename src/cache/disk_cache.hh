@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "geom/geometry.hh"
-#include "telemetry/telemetry.hh"
 
 namespace idp {
 namespace cache {
@@ -127,12 +126,6 @@ class DiskCache
     std::vector<Segment> segments_;
     std::uint64_t useClock_ = 0;
     CacheStats stats_;
-
-    /** Registry handles (null when no registry is installed). */
-    telemetry::Counter *ctrReadHits_ = nullptr;
-    telemetry::Counter *ctrReadMisses_ = nullptr;
-    telemetry::Counter *ctrWriteAbsorbed_ = nullptr;
-    telemetry::Counter *ctrWriteThrough_ = nullptr;
 
     Segment *findContaining(geom::Lba lba, std::uint32_t sectors);
     const Segment *findContaining(geom::Lba lba,

@@ -112,7 +112,8 @@ runTrace(const workload::Trace &trace, const SystemConfig &config)
     sim::simAssert(!trace.empty(), "runTrace: empty trace");
 
     // Install the per-run telemetry currents *before* the system is
-    // built: modules grab their counter handles at construction.
+    // built: modules expose their counts to the registry current at
+    // construction.
     std::unique_ptr<telemetry::Registry> registry;
     std::unique_ptr<telemetry::Tracer> tracer;
     std::unique_ptr<telemetry::RegistryScope> registry_scope;

@@ -39,16 +39,31 @@ DiskDrive::DiskDrive(sim::Simulator &simul, const DriveSpec &spec,
                                        geometry_.cylinders() / n);
     }
     stats_.armAccesses.assign(n, 0);
-    ctrMediaAccesses_ = telemetry::counterHandle("disk.media_accesses");
-    ctrCacheHits_ = telemetry::counterHandle("disk.cache_hits");
-    ctrChannelBlocks_ = telemetry::counterHandle("disk.channel_blocks");
-    ctrZeroLatHits_ = telemetry::counterHandle("disk.zero_latency_hits");
-    ctrSpinUps_ = telemetry::counterHandle("disk.spin_ups");
+    const cache::CacheStats &cs = cache_.stats();
+    counts_.expose(
+        telemetry::activeRegistry(),
+        {{"disk.media_accesses", &stats_.mediaAccesses},
+         // Read hits plus writes the write-back cache absorbed.
+         {"disk.cache_hits", &stats_.cacheHits},
+         {"disk.cache_hits", &cs.writeHits},
+         {"disk.channel_blocks", &stats_.channelBlocks},
+         {"disk.zero_latency_hits", &stats_.zeroLatencyHits},
+         {"disk.spin_ups", &stats_.spinUps},
+         {"cache.read_hits", &cs.readHits},
+         {"cache.read_misses", &cs.readMisses},
+         {"cache.write_absorbed", &cs.writeHits},
+         {"cache.write_through", &cs.writeMisses},
+         {"sched.selections", &stats_.selections},
+         {"sched.candidates_seen", &stats_.candidatesPriced},
+         {"sched.candidates_seen", &stats_.candidatesPruned},
+         {"sched.candidates_priced", &stats_.candidatesPriced},
+         {"sched.candidates_pruned", &stats_.candidatesPruned}});
     headSwitchTicks_ = sim::msToTicks(spec_.headSwitchMs);
     controllerTicks_ = sim::msToTicks(spec_.controllerOverheadMs);
     faultRng_ = sim::Rng(spec_.faultSeed);
     window_.reserve(spec_.schedWindow);
     idleArms_.reserve(n);
+    priced_.reserve(2 * static_cast<std::size_t>(spec_.schedWindow) * n);
     fgList_.index.configure(geometry_.cylinders());
     bgList_.index.configure(geometry_.cylinders());
     // FCFS keys on age alone — nothing for a cylinder index to
@@ -57,7 +72,7 @@ DiskDrive::DiskDrive(sim::Simulator &simul, const DriveSpec &spec,
         spec_.schedPrune && spec_.sched.policy != sched::Policy::Fcfs;
     oracle_ = [this](const sched::PendingView &r,
                      const sched::ArmView &a) {
-        return cachedPositioning(r, a);
+        return pricePositioning(r, a);
     };
     estServiceTicks_ = seekLbTicks(geometry_.cylinders() / 3) +
         spindle_.periodTicks() / 2;
@@ -248,13 +263,6 @@ DiskDrive::applyRpm(sim::Tick now, std::uint32_t rpm)
     // Re-derive every period-derived constant cached across the run.
     estServiceTicks_ = seekLbTicks(geometry_.cylinders() / 3) +
         spindle_.periodTicks() / 2;
-    // Positioning-cost cache: the rotational halves were computed
-    // under the old period (and the seek halves are cheap) — drop
-    // everything rather than reason about which rows survive.
-    for (auto &e : costCache_) {
-        e.seekValid = false;
-        e.rotValid = false;
-    }
 }
 
 sim::Tick
@@ -439,8 +447,6 @@ DiskDrive::allocPending(const workload::IoRequest &req, bool internal)
     if (pendingFree_.empty()) {
         slot = static_cast<std::uint32_t>(pendingPool_.size());
         pendingPool_.emplace_back();
-        // One cost-cache row (all arms) per arena slot, row-major.
-        costCache_.resize(pendingPool_.size() * arms_.size());
         fgList_.index.ensureSlots(pendingPool_.size());
         bgList_.index.ensureSlots(pendingPool_.size());
         // The free list can hold every slot (drain phases); grow its
@@ -459,7 +465,6 @@ DiskDrive::allocPending(const workload::IoRequest &req, bool internal)
     p.sectorAngle = geometry_.sectorAngle(p.chs);
     p.cylinder = p.chs.cylinder;
     p.internal = internal;
-    ++p.gen; // retires any cost-cache rows from the prior occupancy
     p.next = kNilSlot;
     p.prev = kNilSlot;
     p.seq = 0;
@@ -597,30 +602,15 @@ DiskDrive::releaseActive(std::uint64_t id)
 }
 
 sim::Tick
-DiskDrive::cachedPositioning(const sched::PendingView &req,
-                             const sched::ArmView &arm)
+DiskDrive::pricePositioning(const sched::PendingView &req,
+                            const sched::ArmView &arm)
 {
-    const std::uint32_t slot = req.slot;
-    const Pending &p = pendingPool_[slot];
-    CostEntry &e = costCache_[slot * arms_.size() + arm.index];
-    if (e.gen != p.gen) {
-        e.gen = p.gen;
-        e.seekValid = false;
-        e.rotValid = false;
-    }
-    if (!e.seekValid || e.armCyl != arm.cylinder) {
-        e.seek = scaledSeek(arm.cylinder, p.cylinder, !p.req.isRead);
-        e.armCyl = arm.cylinder;
-        e.seekValid = true;
-        // The rotational start time depends on the seek length.
-        e.rotValid = false;
-    }
-    const sim::Tick now = sim_.now();
-    if (!e.rotValid || e.evalAt != now) {
-        e.rot = armRotWaitAngle(now + e.seek, p.sectorAngle, arm.index);
-        e.evalAt = now;
-        e.rotValid = true;
-    }
+    const Pending &p = pendingPool_[req.slot];
+    const sim::Tick seek =
+        scaledSeek(arm.cylinder, p.cylinder, !p.req.isRead);
+    const sim::Tick rot =
+        armRotWaitAngle(sim_.now() + seek, p.sectorAngle, arm.index);
+    priced_.push_back({req.slot, arm.index, seek, rot});
     if (verify::activeChecker() != nullptr) {
         // The pruning / horizon lower bound must never exceed the
         // exact positioning price, including mid-RPM-ramp.
@@ -628,9 +618,34 @@ DiskDrive::cachedPositioning(const sched::PendingView &req,
             ? arm.cylinder - p.cylinder
             : p.cylinder - arm.cylinder;
         verify::onPositioningBound(telemetryId_, seekLbTicks(dist),
-                                   e.seek + e.rot);
+                                   seek + rot);
     }
-    return e.seek + e.rot;
+    return seek + rot;
+}
+
+void
+DiskDrive::scheduleCacheCompletion(const workload::IoRequest &req)
+{
+    const sim::Tick done = sim_.now() + busTicks(req.sectors);
+    if (trackHitBounds_) {
+        hitHeap_.push_back(done);
+        std::push_heap(hitHeap_.begin(), hitHeap_.end(),
+                       std::greater<sim::Tick>());
+    }
+    telemetry::emitSpan(req.id, telemetry::SpanKind::CacheHit,
+                        sim_.now(), done, telemetryId_);
+    sim_.schedule(done, [this, copy = req, done] {
+        ++stats_.completions;
+        ServiceInfo info;
+        info.cacheHit = true;
+        const double ms = sim::ticksToMs(done - copy.arrival);
+        stats_.responseMs.add(ms);
+        stats_.responseHist.add(ms);
+        verify::onDiskComplete(telemetryId_, copy.id, done,
+                               controllerTicks_);
+        if (onComplete_)
+            onComplete_(copy, done, info);
+    });
 }
 
 void
@@ -651,60 +666,14 @@ DiskDrive::submit(const workload::IoRequest &req)
                                sim_.now(), telemetryId_, hit ? 1 : 0);
         if (hit) {
             ++stats_.cacheHits;
-            telemetry::bump(ctrCacheHits_);
-            const sim::Tick done = sim_.now() + busTicks(req.sectors);
-            if (trackHitBounds_) {
-                hitHeap_.push_back(done);
-                std::push_heap(hitHeap_.begin(), hitHeap_.end(),
-                               std::greater<sim::Tick>());
-            }
-            telemetry::emitSpan(req.id, telemetry::SpanKind::CacheHit,
-                                sim_.now(), done, telemetryId_);
-            workload::IoRequest copy = req;
-            sim_.schedule(done, [this, copy, done] {
-                ++stats_.completions;
-                ServiceInfo info;
-                info.cacheHit = true;
-                const double ms =
-                    sim::ticksToMs(done - copy.arrival);
-                stats_.responseMs.add(ms);
-                stats_.responseHist.add(ms);
-                verify::onDiskComplete(telemetryId_, copy.id, done,
-                                       controllerTicks_);
-                if (onComplete_)
-                    onComplete_(copy, done, info);
-            });
+            scheduleCacheCompletion(req);
             return;
         }
-    } else {
-        if (cache_.write(req.lba, req.sectors)) {
-            // Write-back absorbed the write; destage happens later.
-            telemetry::bump(ctrCacheHits_);
-            const sim::Tick done = sim_.now() + busTicks(req.sectors);
-            if (trackHitBounds_) {
-                hitHeap_.push_back(done);
-                std::push_heap(hitHeap_.begin(), hitHeap_.end(),
-                               std::greater<sim::Tick>());
-            }
-            telemetry::emitSpan(req.id, telemetry::SpanKind::CacheHit,
-                                sim_.now(), done, telemetryId_);
-            workload::IoRequest copy = req;
-            sim_.schedule(done, [this, copy, done] {
-                ++stats_.completions;
-                ServiceInfo info;
-                info.cacheHit = true;
-                const double ms =
-                    sim::ticksToMs(done - copy.arrival);
-                stats_.responseMs.add(ms);
-                stats_.responseHist.add(ms);
-                verify::onDiskComplete(telemetryId_, copy.id, done,
-                                       controllerTicks_);
-                if (onComplete_)
-                    onComplete_(copy, done, info);
-            });
-            maybeDestage();
-            return;
-        }
+    } else if (cache_.write(req.lba, req.sectors)) {
+        // Write-back absorbed the write; destage happens later.
+        scheduleCacheCompletion(req);
+        maybeDestage();
+        return;
     }
 
     const std::uint32_t slot = allocPending(req, /*internal=*/false);
@@ -772,7 +741,6 @@ DiskDrive::beginSpinUpIfNeeded()
         return;
     spinningUp_ = true;
     ++stats_.spinUps;
-    telemetry::bump(ctrSpinUps_);
     telemetry::emitSpan(0, telemetry::SpanKind::SpinUp, sim_.now(),
                         sim_.now() + sim::msToTicks(spec_.spinUpMs),
                         telemetryId_);
@@ -823,6 +791,7 @@ DiskDrive::tryDispatch()
         // Section 5 assigns to spare arms.
         PendingList &source = fgList_.size == 0 ? bgList_ : fgList_;
         sched::Choice choice;
+        priced_.clear();
         if (schedIndexed_) {
             // Pruned path: hand the scheduler the incrementally
             // maintained cylinder index over the window — no window
@@ -847,6 +816,10 @@ DiskDrive::tryDispatch()
             choice = scheduler_->select(window_, idleArms_, oracle_,
                                         sim_.now());
         }
+        const sched::SelectWork work = scheduler_->lastWork();
+        ++stats_.selections;
+        stats_.candidatesPriced += work.priced;
+        stats_.candidatesPruned += work.pruned;
         sim::simAssert(choice.slot < pendingPool_.size() &&
                            pendingPool_[choice.slot].inWindow,
                        "disk: scheduler chose bad slot");
@@ -865,19 +838,16 @@ DiskDrive::tryDispatch()
             active.req = p.req;
             active.chs = p.chs;
             active.internal = p.internal;
-            // Most policies priced the chosen pair through the
-            // oracle this very tick; reuse those exact values.
-            const CostEntry &e =
-                costCache_[chosen * arms_.size() + choice.arm];
-            if (e.gen == p.gen && e.seekValid &&
-                e.armCyl == arms_[choice.arm].cylinder) {
-                active.predSeek = e.seek;
-                if (e.rotValid && e.evalAt == sim_.now()) {
-                    active.predRot = e.rot;
-                    active.predRotAt = sim_.now() + e.seek;
-                }
-            }
         }
+        // Most policies priced the chosen pair through the oracle in
+        // this selection; reuse those exact values.
+        for (const Priced &e : priced_)
+            if (e.slot == chosen && e.arm == choice.arm) {
+                active.predSeek = e.seek;
+                active.predRot = e.rot;
+                active.predRotAt = sim_.now() + e.seek;
+                break;
+            }
         active.arm = choice.arm;
         listUnlink(source, chosen);
         releasePending(chosen);
@@ -927,7 +897,6 @@ DiskDrive::startService(std::uint32_t slot)
     modes_.requestStart(now);
     ++stats_.mediaAccesses;
     ++stats_.armAccesses[active.arm];
-    telemetry::bump(ctrMediaAccesses_);
     telemetry::emitSpan(active.req.id, telemetry::SpanKind::HostQueue,
                         active.req.arrival, now, telemetryId_,
                         static_cast<std::uint16_t>(active.arm));
@@ -1013,7 +982,6 @@ DiskDrive::startRotation(std::uint64_t id)
             if (to_start + run_ticks > period) {
                 // The head is inside the run right now.
                 ++stats_.zeroLatencyHits;
-                telemetry::bump(ctrZeroLatHits_);
                 active.xferOverride = period;
                 active.doneFloor = now + minTransferFloorTicks();
                 onRotationDone(id);
@@ -1055,7 +1023,7 @@ DiskDrive::tryStartTransfer(std::uint64_t id)
     if (activeTransfers_ >= spec_.maxConcurrentTransfers) {
         channelWaiters_.push(id);
         active.channelWaitFrom = now;
-        telemetry::bump(ctrChannelBlocks_);
+        ++stats_.channelBlocks;
         return;
     }
     ++activeTransfers_;

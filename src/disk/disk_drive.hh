@@ -96,6 +96,13 @@ struct DriveStats
     std::uint64_t rpmShifts = 0;         ///< runtime RPM transitions
     std::uint64_t armParks = 0;          ///< actuator park events
     std::uint64_t armUnparks = 0;
+    /** Transfers that found the channel budget spent and waited. */
+    std::uint64_t channelBlocks = 0;
+    /** Scheduler work: selections, and the candidates each one priced
+     *  or pruned (sched::IoScheduler::lastWork). */
+    std::uint64_t selections = 0;
+    std::uint64_t candidatesPriced = 0;
+    std::uint64_t candidatesPruned = 0;
 
     /** Moments only: no caller reads a per-drive quantile. */
     stats::SampleSet responseMs{stats::SampleSet::kMomentsOnly};
@@ -266,11 +273,10 @@ class DiskDrive
      * actuation point). The drive drains in-flight requests (new
      * dispatches are gated), serves nothing for spec().rpmShiftMs
      * while the spindle ramps, then resumes at the new speed with all
-     * period-derived pricing re-derived and the positioning-cost
-     * cache invalidated. Requests arriving during the ramp queue and
-     * are priced at the new speed. While spun down the change is
-     * recorded instantly (the spin-up pays the ramp). A repeated
-     * request for the current speed is a no-op.
+     * period-derived pricing re-derived. Requests arriving during the
+     * ramp queue and are priced at the new speed. While spun down the
+     * change is recorded instantly (the spin-up pays the ramp). A
+     * repeated request for the current speed is a no-op.
      */
     void requestRpm(std::uint32_t rpm);
 
@@ -333,8 +339,6 @@ class DiskDrive
         double sectorAngle = 0.0;
         std::uint32_t cylinder = 0;
         bool internal = false; ///< destage traffic, not reported
-        /** Bumped per slot reuse; guards stale cost-cache rows. */
-        std::uint32_t gen = 0;
         std::uint32_t next = kNilSlot;
         std::uint32_t prev = kNilSlot;
         /**
@@ -367,24 +371,14 @@ class DiskDrive
         CylinderBuckets index;
     };
 
-    /**
-     * Cached positioning cost for one (pending slot, arm) pair.
-     * The seek half stays valid while the arm's cylinder is
-     * unchanged; the rotational half is phase-dependent and stays
-     * valid only for the exact evaluation tick it was computed at
-     * (reusing it across ticks would need floating-point identities
-     * the spindle math does not guarantee bit-exactly, and figure
-     * outputs are pinned byte-identical).
-     */
-    struct CostEntry
+    /** One (pending slot, arm) pair the oracle priced during the
+     *  current selection. */
+    struct Priced
     {
-        std::uint32_t gen = 0;
-        std::uint32_t armCyl = 0;
-        sim::Tick evalAt = 0;
+        std::uint32_t slot = 0;
+        std::uint32_t arm = 0;
         sim::Tick seek = 0;
         sim::Tick rot = 0;
-        bool seekValid = false;
-        bool rotValid = false;
     };
 
     struct Active
@@ -405,12 +399,11 @@ class DiskDrive
         bool internal = false; ///< destage traffic, not reported
         /**
          * Positioning the oracle priced for this (request, arm) pair
-         * at dispatch. startService/startRotation reuse the values
-         * instead of recomputing when still exact: the seek whenever
-         * predicted (same arm cylinder, same target), the rotational
-         * wait only when startRotation runs at exactly predRotAt
-         * (dispatch tick + predicted seek). kTickNever = no
-         * prediction (e.g. SSTF never calls the oracle).
+         * in the selection that dispatched it. startService reuses
+         * the seek, startRotation the rotational wait when it runs at
+         * exactly predRotAt (dispatch tick + predicted seek).
+         * kTickNever = no prediction (e.g. SSTF never calls the
+         * oracle).
          */
         sim::Tick predSeek = sim::kTickNever;
         sim::Tick predRot = sim::kTickNever;
@@ -541,8 +534,10 @@ class DiskDrive
     std::vector<std::uint32_t> activeFree_;
     std::size_t activeCount_ = 0;
 
-    /** Per-(pending slot, arm) positioning costs; see CostEntry. */
-    std::vector<CostEntry> costCache_;
+    /** What the oracle priced in the current selection (reserved
+     *  for two full window x arms scans: a verify cross-check
+     *  re-prices the window). */
+    std::vector<Priced> priced_;
 
     /** Reused per-dispatch scratch (no per-dispatch allocations). */
     std::vector<sched::PendingView> window_;
@@ -562,12 +557,9 @@ class DiskDrive
     sim::Rng faultRng_{0x51D0};
 
     std::uint32_t telemetryId_ = 0;
-    /** Registry handles (null when no registry is installed). */
-    telemetry::Counter *ctrMediaAccesses_ = nullptr;
-    telemetry::Counter *ctrCacheHits_ = nullptr;
-    telemetry::Counter *ctrChannelBlocks_ = nullptr;
-    telemetry::Counter *ctrZeroLatHits_ = nullptr;
-    telemetry::Counter *ctrSpinUps_ = nullptr;
+    /** Exposes stats_ and the cache's stats to the registry as the
+     *  disk.*, cache.* and sched.* counts. */
+    telemetry::CountSource counts_;
 
     sim::Tick headSwitchTicks_;
     sim::Tick controllerTicks_;
@@ -632,9 +624,13 @@ class DiskDrive
      */
     void wakeNextChannelWaiter(bool defer_zero_wait);
 
-    /** Memoized positioning oracle; see CostEntry for validity. */
-    sim::Tick cachedPositioning(const sched::PendingView &req,
-                                const sched::ArmView &arm);
+    /** Positioning oracle: prices one pair and records it in
+     *  priced_. */
+    sim::Tick pricePositioning(const sched::PendingView &req,
+                               const sched::ArmView &arm);
+    /** Schedule the completion of a read hit or an absorbed write:
+     *  it returns over the buffer bus, without touching the media. */
+    void scheduleCacheCompletion(const workload::IoRequest &req);
     void armIdleTimer();
     void onIdleTimeout();
     void onSpinDownComplete();
@@ -644,7 +640,7 @@ class DiskDrive
     void maybeStartRpmShift();
     void completeRpmShift();
     /** Switch the spindle at @p now and re-derive every period-derived
-     *  constant (service pricing, positioning-cost cache). */
+     *  constant (service pricing). */
     void applyRpm(sim::Tick now, std::uint32_t rpm);
     /** Feed the arm/seek/channel occupancy to the invariant checker
      *  (no-op when none is installed). */
@@ -656,7 +652,7 @@ class DiskDrive
      * Admissible positioning lower bound at cylinder distance
      * @p dist: the scaled read seek with zero rotational wait —
      * exactly the seek half scaledSeek() computes for that distance,
-     * so it never exceeds what cachedPositioning() can return
+     * so it never exceeds what pricePositioning() can return
      * (writes only add settle time; rotation only adds wait).
      */
     sim::Tick seekLbTicks(std::uint32_t dist) const;

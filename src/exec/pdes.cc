@@ -110,10 +110,10 @@ void
 PdesRun::run()
 {
     sim::simAssert(arr_ != nullptr, "pdes: setArray not called");
-    // Capture the run's thread-local currents once; drive windows
-    // re-install them so hooks and counters work off-main-thread.
+    // Capture the run's checker once; drive windows re-install it so
+    // its hooks work off-main-thread. (Counts need nothing: the
+    // registry reads each drive's own stats after the run.)
     checker_ = verify::activeChecker();
-    registry_ = telemetry::activeRegistry();
     if (checker_) {
         const auto drives =
             static_cast<std::uint32_t>(driveSims_.size());
@@ -306,12 +306,11 @@ PdesRun::runDrives()
 void
 PdesRun::runDriveWindow(std::uint32_t i, sim::Tick horizon)
 {
-    // The thread-local currents (checker / registry / tracer) belong
-    // to the thread that started the run; install them for this
-    // window so the drive's hooks observe the same run. Each drive
-    // writes its spans into its own single-writer ring.
+    // The thread-local currents (checker / tracer) belong to the
+    // thread that started the run; install them for this window so
+    // the drive's hooks observe the same run. Each drive writes its
+    // spans into its own single-writer ring.
     verify::VerifyScope verify_scope(checker_);
-    telemetry::RegistryScope registry_scope(registry_);
     telemetry::TraceScope trace_scope(
         driveTracers_.empty() ? nullptr : driveTracers_[i].get());
     sim::Simulator &s = *driveSims_[i];

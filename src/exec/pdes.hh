@@ -260,10 +260,9 @@ class PdesRun final : public array::ArrayBridge
     std::vector<sim::Tick> barriers_;
     std::uint64_t horizonHist_[kHorizonBuckets] = {};
 
-    /** The run's thread-local currents, captured at run() start and
-     *  re-installed inside every drive window. */
+    /** The run's checker, captured at run() start and re-installed
+     *  inside every drive window. */
     verify::InvariantChecker *checker_ = nullptr;
-    telemetry::Registry *registry_ = nullptr;
 
     /** Runs phase B's drive windows; its threads count the workers,
      *  the run's own thread included. Last, so its helpers are joined

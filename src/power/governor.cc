@@ -54,10 +54,11 @@ Governor::Governor(sim::Simulator &simul, const GovernorParams &params,
     settleTicks_ = 3 * windowTicks_ +
         sim::msToTicks(drives_.front()->spec().rpmShiftMs);
 
-    ctrStepUps_ = telemetry::counterHandle("governor.step_ups");
-    ctrStepDowns_ = telemetry::counterHandle("governor.step_downs");
-    ctrParks_ = telemetry::counterHandle("governor.parks");
-    ctrUnparks_ = telemetry::counterHandle("governor.unparks");
+    counts_.expose(telemetry::activeRegistry(),
+                   {{"governor.step_ups", &stats_.stepUps},
+                    {"governor.step_downs", &stats_.stepDowns},
+                    {"governor.parks", &stats_.parks},
+                    {"governor.unparks", &stats_.unparks}});
 
     armTick();
 }
@@ -211,7 +212,6 @@ Governor::decide(std::size_t i, double busy, double p99, sim::Tick now)
             st.lastChange = now;
             d->requestRpm(levels_[0]);
             ++stats_.stepUps;
-            telemetry::bump(ctrStepUps_);
         }
         return;
     }
@@ -222,7 +222,6 @@ Governor::decide(std::size_t i, double busy, double p99, sim::Tick now)
             st.lastChange = now;
             d->requestRpm(levels_[st.levelIdx]);
             ++stats_.stepDowns;
-            telemetry::bump(ctrStepDowns_);
         }
         if (st.levelIdx > 0)
             parkSpares(i);
@@ -246,7 +245,6 @@ Governor::parkSpares(std::size_t i)
         d->parkArm(k);
         --serviceable;
         ++stats_.parks;
-        telemetry::bump(ctrParks_);
     }
 }
 
@@ -262,7 +260,6 @@ Governor::unparkAll(std::size_t i)
             continue;
         d->unparkArm(k);
         ++stats_.unparks;
-        telemetry::bump(ctrUnparks_);
     }
 }
 

@@ -198,11 +198,7 @@ class Governor
     bool stopped_ = false;
     double windowP99_ = 0.0;
     GovernorStats stats_;
-
-    telemetry::Counter *ctrStepUps_ = nullptr;
-    telemetry::Counter *ctrStepDowns_ = nullptr;
-    telemetry::Counter *ctrParks_ = nullptr;
-    telemetry::Counter *ctrUnparks_ = nullptr;
+    telemetry::CountSource counts_;
 };
 
 } // namespace power

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <utility>
 
 #include "sim/logging.hh"
-#include "telemetry/telemetry.hh"
 #include "verify/verify.hh"
 
 namespace idp {
@@ -180,9 +178,9 @@ pickSptf(const std::vector<PendingView> &pending,
  * selection (and always the first), when a checker is installed,
  * re-derives the choice from the materialized window with the
  * exhaustive reference pick and reports any divergence. The extra
- * oracle calls only warm the drive's cost cache with values a fresh
- * evaluation would produce anyway, so a checked run stays
- * byte-identical to an unchecked one.
+ * oracle calls re-price pairs to exactly the values the first scan
+ * produced, so a checked run stays byte-identical to an unchecked
+ * one.
  */
 bool
 shouldCrossCheck(std::uint64_t &tick)
@@ -483,78 +481,6 @@ class SptfScheduler : public IoScheduler
     std::uint64_t crossTick_ = 0;
 };
 
-/**
- * Decorator that counts selections and the priced/pruned candidate
- * split the policy reported. Installed by the factory when a
- * telemetry registry is active; pure pass-through otherwise.
- */
-class CountingScheduler : public IoScheduler
-{
-  public:
-    explicit CountingScheduler(std::unique_ptr<IoScheduler> inner)
-        : inner_(std::move(inner)),
-          ctrSelections_(telemetry::counterHandle("sched.selections")),
-          ctrCandidates_(
-              telemetry::counterHandle("sched.candidates_seen")),
-          ctrPriced_(
-              telemetry::counterHandle("sched.candidates_priced")),
-          ctrPruned_(
-              telemetry::counterHandle("sched.candidates_pruned"))
-    {
-    }
-
-    std::string name() const override { return inner_->name(); }
-
-    Choice
-    select(const std::vector<PendingView> &pending,
-           const std::vector<ArmView> &arms, const PositioningFn &cost,
-           sim::Tick now) override
-    {
-        const Choice c = inner_->select(pending, arms, cost, now);
-        account();
-        return c;
-    }
-
-    Choice
-    selectIndexed(const std::vector<ArmView> &arms,
-                  const PositioningFn &cost, sim::Tick now,
-                  CylinderIndex &index) override
-    {
-        const Choice c = inner_->selectIndexed(arms, cost, now, index);
-        account();
-        return c;
-    }
-
-    std::uint64_t
-    candidatesExamined(std::size_t pending,
-                       std::size_t arms) const override
-    {
-        return inner_->candidatesExamined(pending, arms);
-    }
-
-    SelectWork lastWork() const override { return inner_->lastWork(); }
-
-  private:
-    void
-    account()
-    {
-        const SelectWork w = inner_->lastWork();
-        telemetry::bump(ctrSelections_);
-        // candidates_seen = priced + pruned: the same nominal total
-        // the pre-pruning decorator reported, so traces across the
-        // two dispatch paths stay comparable.
-        telemetry::bump(ctrCandidates_, w.priced + w.pruned);
-        telemetry::bump(ctrPriced_, w.priced);
-        telemetry::bump(ctrPruned_, w.pruned);
-    }
-
-    std::unique_ptr<IoScheduler> inner_;
-    telemetry::Counter *ctrSelections_;
-    telemetry::Counter *ctrCandidates_;
-    telemetry::Counter *ctrPriced_;
-    telemetry::Counter *ctrPruned_;
-};
-
 } // namespace
 
 Policy
@@ -614,8 +540,6 @@ makeScheduler(const SchedulerParams &params)
     }
     if (sched == nullptr)
         sim::panic("makeScheduler: bad enum");
-    if (telemetry::activeRegistry() != nullptr)
-        return std::make_unique<CountingScheduler>(std::move(sched));
     return sched;
 }
 

@@ -203,8 +203,9 @@ class IoScheduler
     virtual std::uint64_t candidatesExamined(std::size_t pending,
                                              std::size_t arms) const = 0;
 
-    /** Work accounting for the most recent select()/selectIndexed(). */
-    virtual SelectWork lastWork() const { return work_; }
+    /** Work accounting for the most recent select()/selectIndexed();
+     *  the drive adds it to its own DriveStats after each selection. */
+    SelectWork lastWork() const { return work_; }
 
   protected:
     SelectWork work_;

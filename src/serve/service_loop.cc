@@ -12,6 +12,7 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "stats/sampler.hh"
 #include "stats/table.hh"
 #include "telemetry/registry.hh"
 #include "verify/verify.hh"
@@ -57,16 +58,8 @@ struct Ctx
     std::vector<ServeSnapshot> snapshots;
     std::vector<std::uint32_t> due; ///< wheel drain scratch
 
-    // Registry mirrors of the serving counters (handles are stable;
-    // bumping them is allocation-free once the names exist).
-    telemetry::Counter *cArrivals = nullptr;
-    telemetry::Counter *cAdmitted = nullptr;
-    telemetry::Counter *cDenied = nullptr;
-    telemetry::Counter *cCompletions = nullptr;
-    telemetry::Counter *cSpecSubmitted = nullptr;
-    telemetry::Counter *cSpecCancelLive = nullptr;
-    telemetry::Counter *cSpecCancelStale = nullptr;
-    telemetry::Counter *cSpecSuppressed = nullptr;
+    /** Exposes `totals` to the registry as the serve.* counts. */
+    telemetry::CountSource counts;
     stats::Histogram *hResponse = nullptr;
 };
 
@@ -88,13 +81,10 @@ retractSpec(Ctx &c, std::uint32_t t)
     for (std::uint32_t k = 0; k < s.specArmed; ++k) {
         const std::uint64_t before = c.simul->staleCancels();
         c.simul->cancel(s.spec[k]);
-        if (c.simul->staleCancels() != before) {
+        if (c.simul->staleCancels() != before)
             ++c.totals.specCancelledStale;
-            c.cSpecCancelStale->inc();
-        } else {
+        else
             ++c.totals.specCancelledLive;
-            c.cSpecCancelLive->inc();
-        }
         s.spec[k] = sim::kInvalidEventId;
     }
     s.specArmed = 0;
@@ -110,7 +100,6 @@ specFire(Ctx &c, std::uint32_t t, std::uint64_t lba,
         (c.p->spec.maxOutstanding != 0 &&
          c.specInFlight >= c.p->spec.maxOutstanding)) {
         ++c.totals.specSuppressed;
-        c.cSpecSuppressed->inc();
         return;
     }
     workload::IoRequest req;
@@ -122,7 +111,6 @@ specFire(Ctx &c, std::uint32_t t, std::uint64_t lba,
     req.background = true; // spare arms soak these up
     ++c.specInFlight;
     ++c.totals.specSubmitted;
-    c.cSpecSubmitted->inc();
     c.arr->submit(req);
 }
 
@@ -214,17 +202,14 @@ bool
 admitArrival(Ctx &c, TenantSession &s)
 {
     ++c.totals.arrivals;
-    c.cArrivals->inc();
     if (c.p->admission.maxInFlight != 0 &&
         c.inFlight >= c.p->admission.maxInFlight) {
         ++c.totals.deniedInFlight;
-        c.cDenied->inc();
         return false;
     }
     if (!bucketAdmit(s.bucket, c.p->admission.bucket,
                      c.simul->now())) {
         ++c.totals.deniedBucket;
-        c.cDenied->inc();
         return false;
     }
     return true;
@@ -251,7 +236,6 @@ wakeSession(Ctx &c, std::uint32_t t)
     s.waiting = true;
     ++c.inFlight;
     ++c.totals.admitted;
-    c.cAdmitted->inc();
     c.arr->submit(makeForeground(c, t));
 }
 
@@ -267,7 +251,6 @@ onLogicalComplete(Ctx &c, const workload::IoRequest &req,
     }
     --c.inFlight;
     ++c.totals.completions;
-    c.cCompletions->inc();
     const double ms = sim::ticksToMs(done - req.arrival);
     c.window->record(ms);
     c.hResponse->add(ms);
@@ -322,7 +305,6 @@ openArrival(Ctx &c)
     if (admitArrival(c, s)) {
         ++c.inFlight;
         ++c.totals.admitted;
-        c.cAdmitted->inc();
         c.arr->submit(makeForeground(c, t));
     }
     const double lambda = static_cast<double>(c.openCount) *
@@ -393,19 +375,6 @@ stopServing(Ctx &c)
     takeSnapshot(c); // final row, at exactly endTick
 }
 
-double
-medianOf(std::vector<double> &v)
-{
-    if (v.empty())
-        return 0.0;
-    std::sort(v.begin(), v.end());
-    const double pos = 0.5 * static_cast<double>(v.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, v.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return v[lo] * (1.0 - frac) + v[hi] * frac;
-}
-
 void
 validateParams(const ServeParams &p)
 {
@@ -458,8 +427,8 @@ runService(const core::SystemConfig &config, const ServeParams &params)
             std::make_unique<verify::VerifyScope>(checker.get());
     }
 
-    // The registry goes up before the array so module counters
-    // register their handles against this run's registry.
+    // The registry goes up before the array so the modules expose
+    // their counts to this run's registry.
     telemetry::Registry registry;
     telemetry::RegistryScope registry_scope(&registry);
 
@@ -535,17 +504,20 @@ runService(const core::SystemConfig &config, const ServeParams &params)
     else
         ctx.snapshots.reserve(2);
 
-    // Serving counters, mirrored into the registry so snapshotDelta()
+    // The serving totals join the module counts, so snapshotDelta()
     // interleaves them with the module metrics.
-    ctx.cArrivals = &registry.counter("serve.arrivals");
-    ctx.cAdmitted = &registry.counter("serve.admitted");
-    ctx.cDenied = &registry.counter("serve.denied");
-    ctx.cCompletions = &registry.counter("serve.completions");
-    ctx.cSpecSubmitted = &registry.counter("serve.spec_submitted");
-    ctx.cSpecCancelLive = &registry.counter("serve.spec_cancel_live");
-    ctx.cSpecCancelStale =
-        &registry.counter("serve.spec_cancel_stale");
-    ctx.cSpecSuppressed = &registry.counter("serve.spec_suppressed");
+    const ServeTotals &t = ctx.totals;
+    ctx.counts.expose(
+        &registry,
+        {{"serve.arrivals", &t.arrivals},
+         {"serve.admitted", &t.admitted},
+         {"serve.denied", &t.deniedBucket},
+         {"serve.denied", &t.deniedInFlight},
+         {"serve.completions", &t.completions},
+         {"serve.spec_submitted", &t.specSubmitted},
+         {"serve.spec_cancel_live", &t.specCancelledLive},
+         {"serve.spec_cancel_stale", &t.specCancelledStale},
+         {"serve.spec_suppressed", &t.specSuppressed}});
     ctx.hResponse = &registry.histogram("serve.response_ms",
                                         stats::paperResponseEdgesMs());
 
@@ -569,14 +541,9 @@ runService(const core::SystemConfig &config, const ServeParams &params)
     }
 
     if (params.warmupSeconds > 0.0) {
+        // Steady state starts here: drop cold-start latencies.
         simul.schedule(sim::secondsToTicks(params.warmupSeconds),
-                       [cp] {
-                           // Steady state starts here: drop cold-start
-                           // latencies, let the caller checkpoint.
-                           cp->window->clear();
-                           if (cp->p->onWarmupDone)
-                               cp->p->onWarmupDone();
-                       });
+                       [cp] { cp->window->clear(); });
     }
 
     if (params.snapshotPeriodMs > 0.0) {
@@ -602,8 +569,10 @@ runService(const core::SystemConfig &config, const ServeParams &params)
     for (const ServeSnapshot &snap : ctx.snapshots)
         if (snap.simSeconds > params.warmupSeconds)
             steady.push_back(snap.p99Ms);
-    result.steadyP99Ms =
-        steady.empty() ? result.p99Ms : medianOf(steady);
+    std::sort(steady.begin(), steady.end());
+    result.steadyP99Ms = steady.empty()
+        ? result.p99Ms
+        : stats::sortedQuantile(steady.data(), steady.size(), 0.5);
     result.sloMet = ctx.totals.completions > 0 &&
         result.steadyP99Ms <= params.slo.p99TargetMs;
     result.denyFraction = ctx.totals.arrivals > 0

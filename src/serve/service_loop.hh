@@ -33,7 +33,6 @@
 #define IDP_SERVE_SERVICE_LOOP_HH
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -90,7 +89,7 @@ struct ServeParams
     SpecParams spec;
 
     /** Simulated seconds before measurement starts (steady-state
-     *  classification, the alloc checkpoint hook). */
+     *  classification; the SLO window restarts here). */
     double warmupSeconds = 5.0;
     /** Simulated seconds until arrivals stop (in-flight work then
      *  drains). */
@@ -105,9 +104,6 @@ struct ServeParams
     double wheelGranularityMs = 1.0;
 
     std::uint64_t seed = 0x5EAE5EED;
-
-    /** Fired once at the warm-up boundary (alloc checkpointing). */
-    std::function<void()> onWarmupDone;
 };
 
 /** One periodic snapshot row. All count fields are deltas since the

@@ -3,26 +3,10 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
+#include "stats/sampler.hh"
 
 namespace idp {
 namespace serve {
-
-namespace {
-
-/** Linear-interpolated order statistic of a sorted range — the same
- *  formula as stats::SampleSet, so window and end-of-run quantiles
- *  agree exactly on identical samples. */
-double
-sortedQuantile(const double *sorted, std::size_t n, double q)
-{
-    const double pos = q * static_cast<double>(n - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, n - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-} // namespace
 
 SloWindow::SloWindow(std::uint32_t window_samples)
 {
@@ -64,7 +48,7 @@ SloWindow::quantile(double q) const
     if (filled_ == 0)
         return 0.0;
     const std::size_t n = fillScratch();
-    return sortedQuantile(scratch_.data(), n, q);
+    return stats::sortedQuantile(scratch_.data(), n, q);
 }
 
 void
@@ -75,8 +59,8 @@ SloWindow::quantiles(double &p50, double &p99) const
         return;
     }
     const std::size_t n = fillScratch();
-    p50 = sortedQuantile(scratch_.data(), n, 0.50);
-    p99 = sortedQuantile(scratch_.data(), n, 0.99);
+    p50 = stats::sortedQuantile(scratch_.data(), n, 0.50);
+    p99 = stats::sortedQuantile(scratch_.data(), n, 0.99);
 }
 
 } // namespace serve

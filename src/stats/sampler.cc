@@ -70,28 +70,34 @@ SampleSet::quantile(double q) const
                    "take a quantile of");
     if (samples_.empty())
         return 0.0;
-    // Linear interpolation between order statistics lo and lo + 1.
     const std::size_t n = samples_.size();
-    const double pos = q * static_cast<double>(n - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(lo);
-    const auto at = [frac](double below, double above) {
-        return below * (1.0 - frac) + above * frac;
-    };
     if (sorted_)
-        return at(samples_[lo], samples_[std::min(lo + 1, n - 1)]);
+        return sortedQuantile(samples_.data(), n, q);
     // A const read must not mutate: concurrent snapshot readers (the
     // sweep UI, telemetry exporters) may call this while other threads
     // read too, so an unsealed set selects within a local copy.
     // nth_element leaves order statistic lo at lo and only values no
     // smaller above it, so the smallest of those is order statistic
-    // lo + 1: the same two values a sort would give.
+    // lo + 1; moved next to it, the copy holds the same two values a
+    // sort would at the only positions sortedQuantile reads.
     std::vector<double> copy(samples_);
-    const auto nth = copy.begin() + static_cast<std::ptrdiff_t>(lo);
+    const auto lo = static_cast<std::ptrdiff_t>(
+        q * static_cast<double>(n - 1));
+    const auto nth = copy.begin() + lo;
     std::nth_element(copy.begin(), nth, copy.end());
-    const double above =
-        lo + 1 < n ? *std::min_element(nth + 1, copy.end()) : *nth;
-    return at(*nth, above);
+    if (nth + 1 != copy.end())
+        std::iter_swap(nth + 1, std::min_element(nth + 1, copy.end()));
+    return sortedQuantile(copy.data(), n, q);
+}
+
+double
+sortedQuantile(const double *sorted, std::size_t n, double q)
+{
+    const double pos = q * static_cast<double>(n - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, n - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double

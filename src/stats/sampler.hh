@@ -104,6 +104,14 @@ class SampleSet
     sim::Rng rng_;
 };
 
+/**
+ * Quantile q in [0, 1] of @p n >= 1 sorted values: the linear
+ * interpolation between order statistics floor(q (n - 1)) and the
+ * next, the one definition SampleSet, serve's SLO window and its
+ * steady-state median share. Reads only those two positions.
+ */
+double sortedQuantile(const double *sorted, std::size_t n, double q);
+
 } // namespace stats
 } // namespace idp
 

@@ -10,12 +10,56 @@ namespace {
 
 thread_local Registry *t_current = nullptr;
 
+void
+sortByName(std::vector<MetricSample> &rows)
+{
+    std::sort(rows.begin(), rows.end(),
+              [](const MetricSample &a, const MetricSample &b) {
+                  return a.name < b.name;
+              });
+}
+
 } // namespace
 
-Counter &
-Registry::counter(const std::string &name)
+CountSource::~CountSource()
 {
-    return counters_[name];
+    if (registry_ != nullptr)
+        registry_->retire(this);
+}
+
+void
+CountSource::expose(Registry *registry,
+                    std::initializer_list<CountRow> rows)
+{
+    if (registry == nullptr)
+        return;
+    registry_ = registry;
+    rows_.assign(rows);
+    registry->sources_.push_back(this);
+}
+
+Registry::~Registry()
+{
+    for (CountSource *source : sources_)
+        source->registry_ = nullptr;
+}
+
+void
+Registry::retire(CountSource *source)
+{
+    for (const CountRow &row : source->rows_)
+        retired_[row.name] += *row.field;
+    sources_.erase(std::find(sources_.begin(), sources_.end(), source));
+}
+
+std::map<std::string, std::uint64_t>
+Registry::counts() const
+{
+    std::map<std::string, std::uint64_t> out = retired_;
+    for (const CountSource *source : sources_)
+        for (const CountRow &row : source->rows_)
+            out[row.name] += *row.field;
+    return out;
 }
 
 Gauge &
@@ -42,20 +86,15 @@ Registry::setGauge(const std::string &name, double v)
     gauge(name).set(v);
 }
 
-std::size_t
-Registry::metricCount() const
-{
-    return counters_.size() + gauges_.size() + histograms_.size();
-}
-
 std::vector<MetricSample>
 Registry::snapshot() const
 {
+    const auto counts_now = counts();
     std::vector<MetricSample> out;
-    out.reserve(counters_.size() + gauges_.size() +
+    out.reserve(counts_now.size() + gauges_.size() +
                 histograms_.size() * 3);
-    for (const auto &[name, c] : counters_)
-        out.push_back({name, static_cast<double>(c.value)});
+    for (const auto &[name, n] : counts_now)
+        out.push_back({name, static_cast<double>(n)});
     for (const auto &[name, g] : gauges_)
         out.push_back({name, g.value});
     for (const auto &[name, h] : histograms_) {
@@ -64,24 +103,21 @@ Registry::snapshot() const
         out.push_back({name + ".mean", h.mean()});
         out.push_back({name + ".max", h.maxSeen()});
     }
-    std::sort(out.begin(), out.end(),
-              [](const MetricSample &a, const MetricSample &b) {
-                  return a.name < b.name;
-              });
+    sortByName(out);
     return out;
 }
 
 std::vector<MetricSample>
 Registry::snapshotDelta()
 {
+    const auto counts_now = counts();
     std::vector<MetricSample> out;
-    out.reserve(counters_.size() + gauges_.size() +
+    out.reserve(counts_now.size() + gauges_.size() +
                 histograms_.size() * 3);
-    for (const auto &[name, c] : counters_) {
-        const std::uint64_t now = c.load();
-        std::uint64_t &base = counterBase_[name];
-        out.push_back({name, static_cast<double>(now - base)});
-        base = now;
+    for (const auto &[name, n] : counts_now) {
+        std::uint64_t &base = countBase_[name];
+        out.push_back({name, static_cast<double>(n - base)});
+        base = n;
     }
     for (const auto &[name, g] : gauges_)
         out.push_back({name, g.value});
@@ -98,10 +134,7 @@ Registry::snapshotDelta()
         base_count = h.total();
         base_sum = h.sum();
     }
-    std::sort(out.begin(), out.end(),
-              [](const MetricSample &a, const MetricSample &b) {
-                  return a.name < b.name;
-              });
+    sortByName(out);
     return out;
 }
 

@@ -5,10 +5,12 @@
  *
  * Compile-time guard: building with IDP_TELEMETRY=0 (cmake
  * -DIDP_TELEMETRY=OFF) turns activeTracer()/activeRegistry() into
- * constexpr nullptr, so every emitSpan()/bump() call below folds to
- * nothing — tracing is zero-cost, not merely cheap. With the guard on
- * (the default) the cost of a disabled run is one thread-local load
- * and branch per hook, bounded by bench/micro_simcore.
+ * constexpr nullptr, so every emitSpan() call below folds to nothing
+ * and no module exposes its counts — tracing is zero-cost, not merely
+ * cheap. With the guard on (the default) the cost of a disabled run
+ * is one thread-local load and branch per span hook, bounded by
+ * bench/micro_simcore. Counts cost nothing per event either way: the
+ * registry reads the modules' own stats fields when it snapshots.
  *
  * Runtime control is per run: core::runTrace installs a Tracer and a
  * Registry for the duration of a run when SystemConfig::tracing asks
@@ -65,26 +67,6 @@ emitInstant(std::uint64_t id, SpanKind kind, sim::Tick at,
             std::uint32_t dev = 0, std::uint16_t arm = 0)
 {
     emitSpan(id, kind, at, at, dev, arm);
-}
-
-/**
- * Counter handle for module constructors: null when no registry is
- * installed (then bump() is a no-op branch).
- */
-inline Counter *
-counterHandle(const char *name)
-{
-    if (Registry *registry = activeRegistry())
-        return &registry->counter(name);
-    return nullptr;
-}
-
-/** Increment through a possibly-null handle. */
-inline void
-bump(Counter *counter, std::uint64_t by = 1)
-{
-    if (counter)
-        counter->inc(by);
 }
 
 } // namespace telemetry

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "array/storage_array.hh"
+#include "rig.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
@@ -25,25 +26,7 @@ smallDrive()
     return disk::enterpriseDrive(1.0, 10000, 2);
 }
 
-struct Harness
-{
-    sim::Simulator simul;
-    std::uint64_t completions = 0;
-    StorageArray arr;
-
-    explicit Harness(const ArrayParams &params)
-        : arr(simul, params,
-              [this](const IoRequest &, sim::Tick) { ++completions; })
-    {
-    }
-
-    void
-    submitAt(sim::Tick when, IoRequest req)
-    {
-        req.arrival = when;
-        simul.schedule(when, [this, req] { arr.submit(req); });
-    }
-};
+using Harness = test::ArrayRig;
 
 IoRequest
 makeReq(std::uint64_t id, std::uint32_t device, geom::Lba lba,

@@ -7,13 +7,13 @@
 #include <gtest/gtest.h>
 
 #include "disk/disk_drive.hh"
+#include "rig.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
 namespace {
 
 using namespace idp;
-using disk::DiskDrive;
 using disk::DriveSpec;
 using workload::IoRequest;
 
@@ -23,28 +23,7 @@ testSpec()
     return disk::enterpriseDrive(2.0, 10000, 2);
 }
 
-struct Harness
-{
-    sim::Simulator simul;
-    std::vector<std::pair<IoRequest, sim::Tick>> done;
-    DiskDrive drive;
-
-    explicit Harness(const DriveSpec &spec)
-        : drive(simul, spec,
-                [this](const IoRequest &r, sim::Tick t,
-                       const disk::ServiceInfo &) {
-                    done.push_back({r, t});
-                })
-    {
-    }
-
-    void
-    submitAt(sim::Tick when, IoRequest req)
-    {
-        req.arrival = when;
-        simul.schedule(when, [this, req] { drive.submit(req); });
-    }
-};
+using Harness = test::DriveRig;
 
 IoRequest
 req(std::uint64_t id, geom::Lba lba, bool background)
@@ -69,16 +48,16 @@ TEST(Background, ForegroundAlwaysServicedFirst)
     for (int i = 20; i < 40; ++i)
         h.submitAt(0, req(i, rng.uniformInt(space), false));
     h.simul.run();
-    ASSERT_EQ(h.done.size(), 40u);
+    ASSERT_EQ(h.completions.size(), 40u);
     // All foreground requests (cache misses) finish before the bulk
     // of the background set: at most one background request can slip
     // in ahead (the one dispatched before any foreground arrived).
     sim::Tick last_fg = 0;
-    for (const auto &[r, t] : h.done)
+    for (const auto &[r, t, info] : h.completions)
         if (!r.background)
             last_fg = std::max(last_fg, t);
     std::uint64_t bg_before_fg = 0;
-    for (const auto &[r, t] : h.done)
+    for (const auto &[r, t, info] : h.completions)
         if (r.background && t < last_fg)
             ++bg_before_fg;
     EXPECT_LE(bg_before_fg, 2u);
@@ -93,7 +72,7 @@ TEST(Background, ServicedWhenIdle)
         h.submitAt(i * sim::kTicksPerMs,
                    req(i, rng.uniformInt(space), true));
     h.simul.run();
-    EXPECT_EQ(h.done.size(), 30u);
+    EXPECT_EQ(h.completions.size(), 30u);
     EXPECT_EQ(h.drive.stats().backgroundCompletions, 30u);
     EXPECT_TRUE(h.drive.idle());
 }
@@ -142,7 +121,7 @@ TEST(Background, ForegroundLatencyUnderScanLoad)
                req(1, rng.uniformInt(space), false));
     h.simul.run();
     sim::Tick fg_done = 0;
-    for (const auto &[r, t] : h.done)
+    for (const auto &[r, t, info] : h.completions)
         if (!r.background)
             fg_done = t;
     // The foreground request waits at most a couple of in-service

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "disk/disk_drive.hh"
+#include "rig.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
@@ -17,7 +18,6 @@ namespace {
 using namespace idp;
 using disk::DiskDrive;
 using disk::DriveSpec;
-using disk::ServiceInfo;
 using workload::IoRequest;
 
 DriveSpec
@@ -26,26 +26,7 @@ testSpec()
     return disk::enterpriseDrive(2.0, 10000, 2);
 }
 
-struct Harness
-{
-    sim::Simulator simul;
-    std::vector<std::pair<IoRequest, ServiceInfo>> done;
-    DiskDrive drive;
-
-    explicit Harness(const DriveSpec &spec)
-        : drive(simul, spec,
-                [this](const IoRequest &r, sim::Tick,
-                       const ServiceInfo &i) { done.push_back({r, i}); })
-    {
-    }
-
-    void
-    submitAt(sim::Tick when, IoRequest req)
-    {
-        req.arrival = when;
-        simul.schedule(when, [this, req] { drive.submit(req); });
-    }
-};
+using Harness = test::DriveRig;
 
 IoRequest
 randomRead(sim::Rng &rng, const DiskDrive &drive, std::uint64_t id,
@@ -70,7 +51,7 @@ meanRotMs(const DriveSpec &spec, int n, std::uint64_t seed)
     h.simul.run();
     double sum = 0.0;
     std::size_t count = 0;
-    for (const auto &[req, info] : h.done) {
+    for (const auto &[req, done, info] : h.completions) {
         if (info.cacheHit)
             continue;
         sum += sim::ticksToMs(info.rotTicks);
@@ -130,7 +111,7 @@ TEST(DashHeads, DoesNotChangeSeeks)
                        randomRead(rng, h.drive, i));
         h.simul.run();
         double sum = 0;
-        for (const auto &[req, info] : h.done)
+        for (const auto &[req, done, info] : h.completions)
             sum += sim::ticksToMs(info.seekTicks);
         seeks[v++] = sum;
     }
@@ -156,7 +137,7 @@ TEST(DashSurfaces, ParallelSurfacesDivideTransfer)
         req.isRead = true;
         h.submitAt(0, req);
         h.simul.run();
-        xfer[v++] = h.done[0].second.xferTicks;
+        xfer[v++] = h.completions[0].info.xferTicks;
     }
     // Controller overhead is constant; media time halves.
     const sim::Tick overhead = sim::msToTicks(
@@ -183,7 +164,7 @@ TEST(DashSurfaces, LittleEffectOnSmallRequests)
                        randomRead(rng, h.drive, i, 8));
         h.simul.run();
         double sum = 0;
-        for (const auto &[req, info] : h.done)
+        for (const auto &[req, done, info] : h.completions)
             sum += sim::ticksToMs(info.seekTicks + info.rotTicks +
                                   info.xferTicks);
         means[v++] = sum / 300.0;
@@ -232,7 +213,7 @@ TEST(DashDrain, MixedDimensionsComplete)
         h.submitAt(rng.uniformInt(500ULL * sim::kTicksPerMs),
                    randomRead(rng, h.drive, i, 1 + i % 64));
     h.simul.run();
-    EXPECT_EQ(h.done.size(), 500u);
+    EXPECT_EQ(h.completions.size(), 500u);
     EXPECT_TRUE(h.drive.idle());
 }
 

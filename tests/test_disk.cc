@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "disk/disk_drive.hh"
+#include "rig.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
@@ -18,7 +19,6 @@ namespace {
 using namespace idp;
 using disk::DiskDrive;
 using disk::DriveSpec;
-using disk::ServiceInfo;
 using workload::IoRequest;
 
 /** A small, fast-to-build drive for unit tests. */
@@ -30,35 +30,8 @@ testSpec()
     return spec;
 }
 
-struct Completion
-{
-    IoRequest req;
-    sim::Tick done;
-    ServiceInfo info;
-};
-
-struct Harness
-{
-    sim::Simulator simul;
-    std::vector<Completion> completions;
-    DiskDrive drive;
-
-    explicit Harness(const DriveSpec &spec)
-        : drive(simul, spec,
-                [this](const IoRequest &r, sim::Tick t,
-                       const ServiceInfo &i) {
-                    completions.push_back({r, t, i});
-                })
-    {
-    }
-
-    void
-    submitAt(sim::Tick when, IoRequest req)
-    {
-        req.arrival = when;
-        simul.schedule(when, [this, req] { drive.submit(req); });
-    }
-};
+using Harness = test::DriveRig;
+using test::Completion;
 
 IoRequest
 makeReq(std::uint64_t id, geom::Lba lba, std::uint32_t sectors,

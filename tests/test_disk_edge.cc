@@ -8,15 +8,14 @@
 #include <gtest/gtest.h>
 
 #include "disk/disk_drive.hh"
+#include "rig.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
 namespace {
 
 using namespace idp;
-using disk::DiskDrive;
 using disk::DriveSpec;
-using disk::ServiceInfo;
 using workload::IoRequest;
 
 DriveSpec
@@ -25,30 +24,7 @@ testSpec()
     return disk::enterpriseDrive(2.0, 10000, 2);
 }
 
-struct Harness
-{
-    sim::Simulator simul;
-    std::vector<std::pair<IoRequest, ServiceInfo>> done;
-    std::vector<sim::Tick> doneAt;
-    DiskDrive drive;
-
-    explicit Harness(const DriveSpec &spec)
-        : drive(simul, spec,
-                [this](const IoRequest &r, sim::Tick t,
-                       const ServiceInfo &i) {
-                    done.push_back({r, i});
-                    doneAt.push_back(t);
-                })
-    {
-    }
-
-    void
-    submitAt(sim::Tick when, IoRequest req)
-    {
-        req.arrival = when;
-        simul.schedule(when, [this, req] { drive.submit(req); });
-    }
-};
+using Harness = test::DriveRig;
 
 IoRequest
 req(std::uint64_t id, geom::Lba lba, std::uint32_t sectors,
@@ -72,10 +48,10 @@ TEST(DiskEdge, CacheHitsCompleteInOrder)
     h.submitAt(sim::msToTicks(40), req(2, 1000, 8, true));
     h.submitAt(sim::msToTicks(40), req(3, 1000, 8, true));
     h.simul.run();
-    ASSERT_EQ(h.done.size(), 3u);
-    EXPECT_EQ(h.done[1].first.id, 2u);
-    EXPECT_EQ(h.done[2].first.id, 3u);
-    EXPECT_LE(h.doneAt[1], h.doneAt[2]);
+    ASSERT_EQ(h.completions.size(), 3u);
+    EXPECT_EQ(h.completions[1].req.id, 2u);
+    EXPECT_EQ(h.completions[2].req.id, 3u);
+    EXPECT_LE(h.completions[1].done, h.completions[2].done);
 }
 
 TEST(DiskEdge, WriteSettleLengthensSeek)
@@ -89,7 +65,7 @@ TEST(DiskEdge, WriteSettleLengthensSeek)
             h.drive.geometry().totalSectors() * 3 / 4;
         h.submitAt(0, req(1, far, 8, v == 0));
         h.simul.run();
-        seeks[v] = h.done[0].second.seekTicks;
+        seeks[v] = h.completions[0].info.seekTicks;
     }
     EXPECT_EQ(seeks[1] - seeks[0],
               sim::msToTicks(testSpec().seek.writeSettleMs));
@@ -104,7 +80,7 @@ TEST(DiskEdge, ControllerOverheadFloorsService)
     Harness h(spec);
     h.submitAt(0, req(1, 0, 1, false));
     h.simul.run();
-    EXPECT_GE(h.done[0].second.xferTicks,
+    EXPECT_GE(h.completions[0].info.xferTicks,
               sim::msToTicks(spec.controllerOverheadMs));
 }
 
@@ -116,7 +92,7 @@ TEST(DiskEdge, TransferAtDiskEndTruncates)
     const geom::Lba total = h.drive.geometry().totalSectors();
     h.submitAt(0, req(1, total - 64, 64, true));
     h.simul.run();
-    EXPECT_EQ(h.done.size(), 1u);
+    EXPECT_EQ(h.completions.size(), 1u);
     EXPECT_TRUE(h.drive.idle());
 }
 
@@ -147,7 +123,7 @@ TEST(DiskEdge, DestageYieldsToArrivals)
         h.submitAt(sim::msToTicks(30.0) + i * 2 * sim::kTicksPerMs,
                    req(100 + i, mid + 4096 * i, 8, true));
     h.simul.run();
-    EXPECT_EQ(h.done.size(), 16u);
+    EXPECT_EQ(h.completions.size(), 16u);
     EXPECT_TRUE(h.drive.idle());
     EXPECT_EQ(h.drive.diskCache().dirtyCount(), 0u);
 }
@@ -162,9 +138,9 @@ TEST(DiskEdge, QueueTicksMeasureWaiting)
                req(2, h.drive.geometry().totalSectors() - 512, 8,
                    false));
     h.simul.run();
-    ASSERT_EQ(h.done.size(), 2u);
-    EXPECT_EQ(h.done[0].second.queueTicks, 0u);
-    EXPECT_GT(h.done[1].second.queueTicks, 0u);
+    ASSERT_EQ(h.completions.size(), 2u);
+    EXPECT_EQ(h.completions[0].info.queueTicks, 0u);
+    EXPECT_GT(h.completions[1].info.queueTicks, 0u);
 }
 
 TEST(DiskEdge, InFlightAndQueueDepthConsistent)
@@ -201,8 +177,8 @@ TEST(DiskEdge, ResponsesNeverBeforeArrival)
         h.submitAt(rng.uniformInt(300ULL * sim::kTicksPerMs),
                    req(i, rng.uniformInt(space), 8, rng.chance(0.5)));
     h.simul.run();
-    for (std::size_t i = 0; i < h.done.size(); ++i)
-        EXPECT_GE(h.doneAt[i], h.done[i].first.arrival);
+    for (std::size_t i = 0; i < h.completions.size(); ++i)
+        EXPECT_GE(h.completions[i].done, h.completions[i].req.arrival);
 }
 
 TEST(DiskEdge, SameTickSubmissionsDeterministic)
@@ -218,7 +194,7 @@ TEST(DiskEdge, SameTickSubmissionsDeterministic)
         for (int i = 0; i < 100; ++i)
             h.submitAt(0, req(i, rng.uniformInt(space), 8, true));
         h.simul.run();
-        for (const auto &[r, info] : h.done)
+        for (const auto &[r, done, info] : h.completions)
             orders[v].push_back(r.id);
     }
     EXPECT_EQ(orders[0], orders[1]);

@@ -7,15 +7,14 @@
 #include <gtest/gtest.h>
 
 #include "disk/disk_drive.hh"
+#include "rig.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
 namespace {
 
 using namespace idp;
-using disk::DiskDrive;
 using disk::DriveSpec;
-using disk::ServiceInfo;
 using workload::IoRequest;
 
 DriveSpec
@@ -24,26 +23,7 @@ testSpec()
     return disk::enterpriseDrive(2.0, 10000, 2);
 }
 
-struct Harness
-{
-    sim::Simulator simul;
-    std::vector<std::pair<IoRequest, sim::Tick>> done;
-    DiskDrive drive;
-
-    explicit Harness(const DriveSpec &spec)
-        : drive(simul, spec,
-                [this](const IoRequest &r, sim::Tick t,
-                       const ServiceInfo &) { done.push_back({r, t}); })
-    {
-    }
-
-    void
-    submitAt(sim::Tick when, IoRequest req)
-    {
-        req.arrival = when;
-        simul.schedule(when, [this, req] { drive.submit(req); });
-    }
-};
+using Harness = test::DriveRig;
 
 IoRequest
 read(std::uint64_t id, geom::Lba lba, std::uint32_t sectors,
@@ -72,10 +52,10 @@ TEST(ZeroLatency, FullTrackReadNeverWaitsOnRotation)
                        sim::kTicksPerMs,
                    read(i, static_cast<geom::Lba>(i) * spt, spt));
     h.simul.run();
-    ASSERT_EQ(h.done.size(), 40u);
+    ASSERT_EQ(h.completions.size(), 40u);
     // Full-track zero-latency: the media part never exceeds ~one
     // revolution + small switch/overhead, regardless of phase.
-    for (const auto &[req, t] : h.done) {
+    for (const auto &[req, t, info] : h.completions) {
         const double resp_ms = sim::ticksToMs(t - req.arrival);
         EXPECT_LT(resp_ms, period_ms * 1.35 + 1.0);
     }
@@ -95,7 +75,7 @@ TEST(ZeroLatency, ConventionalFullTrackWaitsHalfRevOnAverage)
                        sim::kTicksPerMs,
                    read(i, static_cast<geom::Lba>(i) * spt, spt));
     h.simul.run();
-    for (const auto &[req, t] : h.done)
+    for (const auto &[req, t, info] : h.completions)
         sum += sim::ticksToMs(t - req.arrival);
     // ~1.5 revolutions on average (wait half + read one).
     EXPECT_GT(sum / 40.0, period_ms * 1.3);
@@ -136,17 +116,17 @@ TEST(Coalesce, ContiguousBurstFoldsIntoOneAccess)
     for (int i = 0; i < 4; ++i)
         h.submitAt(1, read(1 + i, 5000 + 8 * i, 8));
     h.simul.run();
-    EXPECT_EQ(h.done.size(), 5u);
+    EXPECT_EQ(h.completions.size(), 5u);
     EXPECT_EQ(h.drive.stats().coalescedRequests, 3u);
     // 5 completions but only 2 media accesses.
     EXPECT_EQ(h.drive.stats().mediaAccesses, 2u);
     // The four coalesced requests complete at the same instant.
     sim::Tick burst_end = 0;
-    for (const auto &[req, t] : h.done) {
+    for (const auto &[req, t, info] : h.completions) {
         if (req.id >= 1)
             burst_end = std::max(burst_end, t);
     }
-    for (const auto &[req, t] : h.done) {
+    for (const auto &[req, t, info] : h.completions) {
         if (req.id >= 1) {
             EXPECT_EQ(t, burst_end);
         }

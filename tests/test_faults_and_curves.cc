@@ -8,15 +8,14 @@
 
 #include "disk/disk_drive.hh"
 #include "mech/seek_model.hh"
+#include "rig.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
 namespace {
 
 using namespace idp;
-using disk::DiskDrive;
 using disk::DriveSpec;
-using disk::ServiceInfo;
 using workload::IoRequest;
 
 DriveSpec
@@ -25,26 +24,7 @@ testSpec()
     return disk::enterpriseDrive(2.0, 10000, 2);
 }
 
-struct Harness
-{
-    sim::Simulator simul;
-    std::vector<std::pair<IoRequest, ServiceInfo>> done;
-    DiskDrive drive;
-
-    explicit Harness(const DriveSpec &spec)
-        : drive(simul, spec,
-                [this](const IoRequest &r, sim::Tick,
-                       const ServiceInfo &i) { done.push_back({r, i}); })
-    {
-    }
-
-    void
-    submitAt(sim::Tick when, IoRequest req)
-    {
-        req.arrival = when;
-        simul.schedule(when, [this, req] { drive.submit(req); });
-    }
-};
+using Harness = test::DriveRig;
 
 IoRequest
 read(std::uint64_t id, geom::Lba lba)
@@ -68,7 +48,7 @@ TEST(Faults, NoInjectionByDefault)
     h.simul.run();
     EXPECT_EQ(h.drive.stats().mediaRetries, 0u);
     EXPECT_EQ(h.drive.stats().hardErrors, 0u);
-    for (const auto &[r, info] : h.done)
+    for (const auto &[r, done, info] : h.completions)
         EXPECT_FALSE(info.failed);
 }
 
@@ -83,7 +63,7 @@ TEST(Faults, RetriesObservedAtModerateRate)
         h.submitAt(i * 5 * sim::kTicksPerMs,
                    read(i, rng.uniformInt(space)));
     h.simul.run();
-    EXPECT_EQ(h.done.size(), 400u);
+    EXPECT_EQ(h.completions.size(), 400u);
     // ~20% of accesses retry at least once.
     EXPECT_GT(h.drive.stats().mediaRetries, 40u);
     EXPECT_LT(h.drive.stats().mediaRetries, 200u);
@@ -100,10 +80,10 @@ TEST(Faults, RetryCostsOneRevolution)
     Harness h(spec);
     h.submitAt(0, read(1, 1000000));
     h.simul.run();
-    ASSERT_EQ(h.done.size(), 1u);
+    ASSERT_EQ(h.completions.size(), 1u);
     const sim::Tick rev = h.drive.spindle().periodTicks();
-    EXPECT_GE(h.done[0].second.rotTicks, 2 * rev);
-    EXPECT_TRUE(h.done[0].second.failed);
+    EXPECT_GE(h.completions[0].info.rotTicks, 2 * rev);
+    EXPECT_TRUE(h.completions[0].info.failed);
     EXPECT_EQ(h.drive.stats().mediaRetries, 2u);
     EXPECT_EQ(h.drive.stats().hardErrors, 1u);
 }
@@ -204,7 +184,7 @@ TEST(SeekCurve, DriveUsesTable)
     Harness h(spec);
     h.submitAt(0, read(1, h.drive.geometry().totalSectors() / 2));
     h.simul.run();
-    EXPECT_EQ(h.done[0].second.seekTicks, sim::msToTicks(2.0));
+    EXPECT_EQ(h.completions[0].info.seekTicks, sim::msToTicks(2.0));
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "core/experiment.hh"
 #include "exec/sim_sweep.hh"
 #include "power/governor.hh"
+#include "rig.hh"
 #include "verify/invariant_checker.hh"
 #include "verify/verify.hh"
 #include "workload/synthetic.hh"
@@ -55,54 +56,45 @@ governedArray(std::uint32_t actuators, const power::GovernorParams &g)
     return p;
 }
 
-struct Harness
+using Harness = test::ArrayRig;
+
+/** An 8-sector read of @p lba arriving at @p when; ids count the
+ *  requests submitted so far. */
+void
+readAt(Harness &h, sim::Tick when, geom::Lba lba)
 {
-    sim::Simulator simul;
-    array::StorageArray arr;
-    std::uint64_t nextId = 0;
+    IoRequest r;
+    r.id = h.submitted;
+    r.lba = lba;
+    r.sectors = 8;
+    r.isRead = true;
+    h.submitAt(when, r);
+}
 
-    explicit Harness(const array::ArrayParams &p)
-        : arr(simul, p)
-    {
-    }
+/** One small random-ish read every @p gap_ms for @p span_ms. */
+void
+lightPhase(Harness &h, double start_ms, double span_ms, double gap_ms)
+{
+    for (double t = start_ms; t < start_ms + span_ms; t += gap_ms)
+        readAt(h, sim::msToTicks(t),
+               1000 + 97 * static_cast<geom::Lba>(h.submitted) * 4096 %
+                   100000000);
+}
 
-    void
-    submitAt(sim::Tick when, geom::Lba lba, std::uint32_t sectors = 8)
-    {
-        IoRequest r;
-        r.id = nextId++;
-        r.arrival = when;
-        r.lba = lba;
-        r.sectors = sectors;
-        r.isRead = true;
-        simul.schedule(when, [this, r] { arr.submit(r); });
-    }
-
-    /** One small random-ish read every @p gap_ms for @p span_ms. */
-    void
-    lightPhase(double start_ms, double span_ms, double gap_ms)
-    {
-        for (double t = start_ms; t < start_ms + span_ms; t += gap_ms)
-            submitAt(sim::msToTicks(t),
-                     1000 + 97 * static_cast<geom::Lba>(nextId) *
-                         4096 % 100000000);
-    }
-
-    /** A dense burst: @p count reads at @p gap_ms spacing. */
-    void
-    burstPhase(double start_ms, int count, double gap_ms)
-    {
-        for (int i = 0; i < count; ++i)
-            submitAt(sim::msToTicks(start_ms + i * gap_ms),
-                     1000 + 131 * static_cast<geom::Lba>(nextId) *
-                         4096 % 100000000);
-    }
-};
+/** A dense burst: @p count reads at @p gap_ms spacing. */
+void
+burstPhase(Harness &h, double start_ms, int count, double gap_ms)
+{
+    for (int i = 0; i < count; ++i)
+        readAt(h, sim::msToTicks(start_ms + i * gap_ms),
+               1000 + 131 * static_cast<geom::Lba>(h.submitted) * 4096 %
+                   100000000);
+}
 
 TEST(Governor, StepsDownDuringSustainedLull)
 {
     Harness h(governedArray(2, testGovernor()));
-    h.lightPhase(0.0, 3000.0, 100.0);
+    lightPhase(h, 0.0, 3000.0, 100.0);
     h.simul.run();
 
     const power::Governor *gov = h.arr.governor();
@@ -119,10 +111,10 @@ TEST(Governor, StepsDownDuringSustainedLull)
 TEST(Governor, BurstStepsBackUpAndEveryRequestCompletes)
 {
     Harness h(governedArray(2, testGovernor()));
-    h.lightPhase(0.0, 2000.0, 100.0);
+    lightPhase(h, 0.0, 2000.0, 100.0);
     // 400 arrivals at 1 ms: queueing blows past the 80 ms SLO and the
     // busy threshold; the governor must climb back toward 7200.
-    h.burstPhase(2500.0, 400, 1.0);
+    burstPhase(h, 2500.0, 400, 1.0);
     h.simul.run();
 
     const power::Governor *gov = h.arr.governor();
@@ -139,8 +131,8 @@ TEST(Governor, ParksSparesInLullAndUnparksOnBurst)
     power::GovernorParams g = testGovernor();
     g.parkKeepArms = 1;
     Harness h(governedArray(4, g));
-    h.lightPhase(0.0, 3000.0, 100.0);
-    h.burstPhase(3500.0, 400, 1.0);
+    lightPhase(h, 0.0, 3000.0, 100.0);
+    burstPhase(h, 3500.0, 400, 1.0);
     h.simul.run();
 
     const power::Governor *gov = h.arr.governor();
@@ -164,8 +156,8 @@ TEST(Governor, ParkedTicksBilledAndConservationHolds)
     power::GovernorParams g = testGovernor();
     g.parkKeepArms = 1;
     Harness h(governedArray(4, g));
-    h.lightPhase(0.0, 3000.0, 100.0);
-    h.burstPhase(3500.0, 200, 1.0);
+    lightPhase(h, 0.0, 3000.0, 100.0);
+    burstPhase(h, 3500.0, 200, 1.0);
     h.simul.run();
 
     // finishPower closes the per-RPM segments and runs the
@@ -186,7 +178,7 @@ TEST(Governor, GovernedLullUsesLessEnergyThanStaticNominal)
         power::GovernorParams g = testGovernor();
         g.enabled = v == 1;
         Harness h(governedArray(2, g));
-        h.lightPhase(0.0, 8000.0, 200.0);
+        lightPhase(h, 0.0, 8000.0, 200.0);
         h.simul.run();
         energy[v] = h.arr.finishPower().totalEnergyJ;
     }

@@ -10,6 +10,7 @@
 
 #include "disk/disk_drive.hh"
 #include "reliability/reliability.hh"
+#include "rig.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
@@ -112,19 +113,7 @@ TEST(ReliabilityModel, ExpectedAliveArmsDecays)
 
 // --- runtime graceful degradation ---------------------------------
 
-struct Harness
-{
-    sim::Simulator simul;
-    std::uint64_t done = 0;
-    disk::DiskDrive drive;
-
-    explicit Harness(const disk::DriveSpec &spec)
-        : drive(simul, spec,
-                [this](const workload::IoRequest &, sim::Tick,
-                       const disk::ServiceInfo &) { ++done; })
-    {
-    }
-};
+using Harness = test::DriveRig;
 
 disk::DriveSpec
 sa4Spec()
@@ -161,7 +150,7 @@ TEST(FailArm, FailedArmNeverScheduled)
                          [&h, req] { h.drive.submit(req); });
     }
     h.simul.run();
-    EXPECT_EQ(h.done, 300u);
+    EXPECT_EQ(h.completions.size(), 300u);
     EXPECT_EQ(h.drive.stats().armAccesses[2], 0u);
     EXPECT_GT(h.drive.stats().armAccesses[0], 0u);
 }
@@ -190,7 +179,7 @@ TEST(FailArm, MidRunFailureDrains)
     h.simul.schedule(500 * sim::kTicksPerMs,
                      [&h] { h.drive.failArm(2); });
     h.simul.run();
-    EXPECT_EQ(h.done, 400u);
+    EXPECT_EQ(h.completions.size(), 400u);
     EXPECT_TRUE(h.drive.idle());
     EXPECT_EQ(h.drive.aliveArms(), 1u);
 }

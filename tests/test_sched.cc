@@ -11,7 +11,6 @@
 #include <random>
 
 #include "sched/scheduler.hh"
-#include "telemetry/telemetry.hh"
 
 namespace {
 
@@ -194,8 +193,7 @@ TEST(CandidatesExamined, MatchesEachPolicyScanShape)
 {
     // Single-request policies scan the window once and then price one
     // arm per idle arm (pending + arms); joint policies compare the
-    // full (request, arm) cross product (pending × arms). The old
-    // CountingScheduler charged every policy the cross product.
+    // full (request, arm) cross product (pending × arms).
     EXPECT_EQ(makeScheduler({Policy::Fcfs, 0.0})
                   ->candidatesExamined(6, 4),
               10u);
@@ -454,8 +452,8 @@ TEST(SelectIndexed, AgedFallsBackWhenCreditCoversFullStroke)
 
 TEST(Telemetry, PricedAndPrunedCountersSplitCandidatesSeen)
 {
-    telemetry::Registry registry;
-    telemetry::RegistryScope scope(&registry);
+    // The drive adds lastWork() to its sched.candidates_priced /
+    // _pruned counts; their sum is sched.candidates_seen.
     auto s = makeScheduler({Policy::Sptf, 0.0});
     std::vector<PendingView> pending;
     for (std::uint32_t i = 0; i < 64; ++i)
@@ -464,46 +462,25 @@ TEST(Telemetry, PricedAndPrunedCountersSplitCandidatesSeen)
     VectorIndex index(pending);
     s->selectIndexed(arms, pseudoRotOracle, 0, index);
 
-    double seen = -1.0, priced = -1.0, pruned = -1.0, selections = -1.0;
-    for (const auto &row : registry.snapshot()) {
-        if (row.name == "sched.candidates_seen")
-            seen = row.value;
-        if (row.name == "sched.candidates_priced")
-            priced = row.value;
-        if (row.name == "sched.candidates_pruned")
-            pruned = row.value;
-        if (row.name == "sched.selections")
-            selections = row.value;
-    }
-    EXPECT_EQ(selections, 1.0);
-    EXPECT_EQ(seen, 128.0); // 64 pending x 2 arms, the nominal scan
-    EXPECT_EQ(priced + pruned, seen);
-    EXPECT_GT(pruned, 0.0);
+    const SelectWork w = s->lastWork();
+    // 64 pending x 2 arms, the nominal scan.
+    EXPECT_EQ(w.priced + w.pruned, 128u);
+    EXPECT_GT(w.pruned, 0u);
 }
 
 TEST(CandidatesExamined, TelemetryCounterUsesPolicyCount)
 {
-    telemetry::Registry registry;
-    telemetry::RegistryScope scope(&registry);
-    // With a registry active the factory wraps the policy in the
-    // counting decorator; the counter must advance by the policy's
-    // own scan shape, not pending × arms.
+    // The work a selection reports is the policy's own scan shape,
+    // not pending × arms.
     auto s = makeScheduler({Policy::Clook, 0.0});
     std::vector<PendingView> pending = {pv(0, 10), pv(1, 20),
                                         pv(2, 30)};
     std::vector<ArmView> arms = {{0, 0, 0.0}, {1, 500, 0.0}};
-    s->select(pending, arms, cylinderOracle, 0);
-    s->select(pending, arms, cylinderOracle, 0);
-    double candidates = -1.0;
-    double selections = -1.0;
-    for (const auto &row : registry.snapshot()) {
-        if (row.name == "sched.candidates_seen")
-            candidates = row.value;
-        if (row.name == "sched.selections")
-            selections = row.value;
+    for (int k = 0; k < 2; ++k) {
+        s->select(pending, arms, cylinderOracle, 0);
+        const SelectWork w = s->lastWork();
+        EXPECT_EQ(w.priced + w.pruned, 3u + 2u); // pending + arms
     }
-    EXPECT_EQ(selections, 2.0);
-    EXPECT_EQ(candidates, 2.0 * (3 + 2)); // 2 × (pending + arms)
 }
 
 } // namespace

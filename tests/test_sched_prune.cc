@@ -25,6 +25,7 @@
 #include "core/experiment.hh"
 #include "disk/disk_drive.hh"
 #include "exec/fork_join.hh"
+#include "rig.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "verify/verify.hh"
@@ -33,45 +34,18 @@
 namespace {
 
 using namespace idp;
-using disk::DiskDrive;
 using disk::DriveSpec;
-using disk::ServiceInfo;
 using workload::IoRequest;
 
-struct Completion
+using Harness = test::DriveRig;
+using test::Completion;
+
+/** The same request completing at the same tick. */
+bool
+sameCompletion(const Completion &a, const Completion &b)
 {
-    std::uint64_t id;
-    sim::Tick done;
-
-    bool
-    operator==(const Completion &o) const
-    {
-        return id == o.id && done == o.done;
-    }
-};
-
-struct Harness
-{
-    sim::Simulator simul;
-    std::vector<Completion> completions;
-    DiskDrive drive;
-
-    explicit Harness(const DriveSpec &spec)
-        : drive(simul, spec,
-                [this](const IoRequest &r, sim::Tick t,
-                       const ServiceInfo &) {
-                    completions.push_back({r.id, t});
-                })
-    {
-    }
-
-    void
-    submitAt(sim::Tick when, IoRequest req)
-    {
-        req.arrival = when;
-        simul.schedule(when, [this, req] { drive.submit(req); });
-    }
-};
+    return a.req.id == b.req.id && a.done == b.done;
+}
 
 /** 4-actuator drive with a deep scheduling window. */
 DriveSpec
@@ -136,10 +110,10 @@ TEST(SchedPrune, DeepQueueCompletionsByteIdenticalAcrossPolicies)
         ASSERT_EQ(pruned.size(), exhaustive.size())
             << sched::policyToString(p);
         for (std::size_t i = 0; i < pruned.size(); ++i) {
-            ASSERT_TRUE(pruned[i] == exhaustive[i])
+            ASSERT_TRUE(sameCompletion(pruned[i], exhaustive[i]))
                 << sched::policyToString(p) << ": completion " << i
-                << " diverged (id " << pruned[i].id << " @ "
-                << pruned[i].done << " vs id " << exhaustive[i].id
+                << " diverged (id " << pruned[i].req.id << " @ "
+                << pruned[i].done << " vs id " << exhaustive[i].req.id
                 << " @ " << exhaustive[i].done << ")";
         }
     }
@@ -155,7 +129,8 @@ TEST(SchedPrune, EnvVarForcesExhaustivePathWithIdenticalResults)
     const auto forced_off = runDeepQueue(spec, 0xE5C);
     ASSERT_EQ(pruned.size(), forced_off.size());
     for (std::size_t i = 0; i < pruned.size(); ++i)
-        ASSERT_TRUE(pruned[i] == forced_off[i]) << "completion " << i;
+        ASSERT_TRUE(sameCompletion(pruned[i], forced_off[i]))
+            << "completion " << i;
 }
 
 /**
@@ -189,7 +164,7 @@ coldRequestCompletion(bool prune)
     h.simul.run();
 
     for (const Completion &c : h.completions)
-        if (c.id == cold_id)
+        if (c.req.id == cold_id)
             return c.done;
     ADD_FAILURE() << "cold request never completed";
     return 0;

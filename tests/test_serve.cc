@@ -310,12 +310,13 @@ sampleValue(const std::vector<telemetry::MetricSample> &rows,
 TEST(ServeSnapshotDelta, CountersReportIncreaseSinceLastDelta)
 {
     telemetry::Registry registry;
-    telemetry::Counter &ctr = registry.counter("requests");
-    ctr.inc(5);
+    std::uint64_t requests = 5;
+    telemetry::CountSource source;
+    source.expose(&registry, {{"requests", &requests}});
     // First delta call reports the cumulative value.
     EXPECT_DOUBLE_EQ(sampleValue(registry.snapshotDelta(), "requests"),
                      5.0);
-    ctr.inc(3);
+    requests += 3;
     EXPECT_DOUBLE_EQ(sampleValue(registry.snapshotDelta(), "requests"),
                      3.0);
     // No activity -> zero delta; cumulative snapshot unaffected.
@@ -328,10 +329,11 @@ TEST(ServeSnapshotDelta, CountersReportIncreaseSinceLastDelta)
 TEST(ServeSnapshotDelta, CumulativeSnapshotDoesNotAdvanceBaselines)
 {
     telemetry::Registry registry;
-    telemetry::Counter &ctr = registry.counter("ops");
-    ctr.inc(4);
+    std::uint64_t ops = 4;
+    telemetry::CountSource source;
+    source.expose(&registry, {{"ops", &ops}});
     registry.snapshotDelta(); // baseline at 4
-    ctr.inc(6);
+    ops += 6;
     registry.snapshot(); // interleaved cumulative read
     registry.snapshot();
     EXPECT_DOUBLE_EQ(sampleValue(registry.snapshotDelta(), "ops"),

@@ -8,12 +8,12 @@
 
 #include "disk/disk_drive.hh"
 #include "power/power_model.hh"
+#include "rig.hh"
 #include "sim/event_queue.hh"
 
 namespace {
 
 using namespace idp;
-using disk::DiskDrive;
 using disk::DriveSpec;
 using workload::IoRequest;
 
@@ -26,38 +26,25 @@ spec(double spin_down_ms, double spin_up_ms = 1000.0)
     return s;
 }
 
-struct Harness
+using Harness = test::DriveRig;
+
+/** An 8-sector access at @p lba arriving at @p when; its id counts the
+ *  completions recorded so far. */
+void
+accessAt(Harness &h, sim::Tick when, geom::Lba lba, bool is_read = true)
 {
-    sim::Simulator simul;
-    std::vector<sim::Tick> doneAt;
-    DiskDrive drive;
-
-    explicit Harness(const DriveSpec &s)
-        : drive(simul, s,
-                [this](const IoRequest &, sim::Tick t,
-                       const disk::ServiceInfo &) {
-                    doneAt.push_back(t);
-                })
-    {
-    }
-
-    void
-    submitAt(sim::Tick when, geom::Lba lba, bool is_read = true)
-    {
-        IoRequest r;
-        r.id = doneAt.size();
-        r.arrival = when;
-        r.lba = lba;
-        r.sectors = 8;
-        r.isRead = is_read;
-        simul.schedule(when, [this, r] { drive.submit(r); });
-    }
-};
+    IoRequest r;
+    r.id = h.completions.size();
+    r.lba = lba;
+    r.sectors = 8;
+    r.isRead = is_read;
+    h.submitAt(when, r);
+}
 
 TEST(SpinDown, DisabledByDefault)
 {
     Harness h(disk::enterpriseDrive(1.0, 10000, 2));
-    h.submitAt(0, 1000);
+    accessAt(h, 0, 1000);
     h.simul.run();
     // Long after the request: still spinning.
     EXPECT_FALSE(h.drive.spunDown());
@@ -67,7 +54,7 @@ TEST(SpinDown, DisabledByDefault)
 TEST(SpinDown, SpinsDownAfterIdleTimeout)
 {
     Harness h(spec(50.0));
-    h.submitAt(0, 1000, false);
+    accessAt(h, 0, 1000, false);
     h.simul.schedule(sim::msToTicks(500.0), [] {}); // extend horizon
     h.simul.run();
     EXPECT_TRUE(h.drive.spunDown());
@@ -77,14 +64,14 @@ TEST(SpinDown, SpinsDownAfterIdleTimeout)
 TEST(SpinDown, ArrivalPaysSpinUp)
 {
     Harness h(spec(50.0, 1000.0));
-    h.submitAt(0, 1000, false);
+    accessAt(h, 0, 1000, false);
     // Arrives long after spin-down: must wait out the 1 s spin-up.
-    h.submitAt(sim::msToTicks(300.0),
-               h.drive.geometry().totalSectors() / 2, false);
+    accessAt(h, sim::msToTicks(300.0),
+             h.drive.geometry().totalSectors() / 2, false);
     h.simul.run();
-    ASSERT_EQ(h.doneAt.size(), 2u);
+    ASSERT_EQ(h.completions.size(), 2u);
     const double resp_ms =
-        sim::ticksToMs(h.doneAt[1]) - 300.0;
+        sim::ticksToMs(h.completions[1].done) - 300.0;
     EXPECT_GT(resp_ms, 1000.0);
     EXPECT_LT(resp_ms, 1100.0);
     EXPECT_EQ(h.drive.stats().spinUps, 1u);
@@ -98,8 +85,8 @@ TEST(SpinDown, BusyDriveNeverSpinsDown)
     Harness h(spec(50.0));
     // Steady 20 ms arrivals: the 50 ms idle timer never expires.
     for (int i = 0; i < 50; ++i)
-        h.submitAt(static_cast<sim::Tick>(i) * 20 * sim::kTicksPerMs,
-                   1000 + 1024 * i, false);
+        accessAt(h, static_cast<sim::Tick>(i) * 20 * sim::kTicksPerMs,
+                 1000 + 1024 * i, false);
     h.simul.run();
     // Only the trailing post-workload timeout may fire; no request
     // ever paid a spin-up.
@@ -115,7 +102,7 @@ TEST(SpinDown, StandbyCutsEnergy)
     for (int v = 0; v < 2; ++v) {
         Harness h(v == 0 ? disk::enterpriseDrive(1.0, 10000, 2)
                          : spec(10.0));
-        h.submitAt(0, 1000, false);
+        accessAt(h, 0, 1000, false);
         h.simul.schedule(sim::secondsToTicks(10.0), [] {});
         h.simul.run();
         const power::PowerModel model(h.drive.spec().power);
@@ -129,14 +116,14 @@ TEST(SpinDown, StandbyCutsEnergy)
 TEST(SpinDown, CacheHitsServedWhileSpunDown)
 {
     Harness h(spec(50.0));
-    h.submitAt(0, 1000, true); // warms cache
-    h.submitAt(sim::msToTicks(400.0), 1000, true); // hit
+    accessAt(h, 0, 1000, true); // warms cache
+    accessAt(h, sim::msToTicks(400.0), 1000, true); // hit
     h.simul.run();
-    EXPECT_EQ(h.doneAt.size(), 2u);
+    EXPECT_EQ(h.completions.size(), 2u);
     // The hit neither spun the drive up nor waited for it.
     EXPECT_EQ(h.drive.stats().spinUps, 0u);
     EXPECT_TRUE(h.drive.spunDown());
-    EXPECT_LT(sim::ticksToMs(h.doneAt[1]) - 400.0, 1.0);
+    EXPECT_LT(sim::ticksToMs(h.completions[1].done) - 400.0, 1.0);
 }
 
 TEST(SpinDown, WriteBackDestageSpinsUp)
@@ -144,7 +131,7 @@ TEST(SpinDown, WriteBackDestageSpinsUp)
     DriveSpec s = spec(50.0, 200.0);
     s.cache.writeBack = true;
     Harness h(s);
-    h.submitAt(0, 4096, false); // absorbed by the cache
+    accessAt(h, 0, 4096, false); // absorbed by the cache
     h.simul.schedule(sim::secondsToTicks(5.0), [] {});
     h.simul.run();
     // The absorbed write was eventually destaged (drive had to be or
@@ -167,16 +154,16 @@ TEST(SpinDownTransition, ArrivalMidTransitionWaitsRemainderPlusSpinUp)
     DriveSpec s = spec(50.0, 1000.0);
     s.spinDownMs = 500.0;
     Harness h(s);
-    h.submitAt(0, 1000, false);
+    accessAt(h, 0, 1000, false);
     // First write completes within ~100 ms; the idle timer fires
     // 50 ms later; the stop transition runs for 500 ms after that.
     // An arrival at t = 300 ms lands inside the transition, so it
     // must wait transition-end + the full 1 s spin-up.
-    h.submitAt(sim::msToTicks(300.0),
-               h.drive.geometry().totalSectors() / 2, false);
+    accessAt(h, sim::msToTicks(300.0),
+             h.drive.geometry().totalSectors() / 2, false);
     h.simul.run();
-    ASSERT_EQ(h.doneAt.size(), 2u);
-    const double resp_ms = sim::ticksToMs(h.doneAt[1]) - 300.0;
+    ASSERT_EQ(h.completions.size(), 2u);
+    const double resp_ms = sim::ticksToMs(h.completions[1].done) - 300.0;
     // Remaining transition (>= 250 ms) + spin-up (1000 ms), bounded
     // above by transition end + spin-up + generous service slack.
     EXPECT_GT(resp_ms, 1250.0);
@@ -192,7 +179,7 @@ TEST(SpinDownTransition, TransitionStateIsObservable)
     DriveSpec s = spec(50.0, 1000.0);
     s.spinDownMs = 500.0;
     Harness h(s);
-    h.submitAt(0, 1000, false);
+    accessAt(h, 0, 1000, false);
     bool saw_transition = false;
     bool saw_standby = false;
     // Probe well inside the transition and well after it.
@@ -219,7 +206,7 @@ TEST(SpinDownTransition, StandbyBeginsOnlyAfterTransitionEnds)
         DriveSpec s = spec(50.0, 1000.0);
         s.spinDownMs = v == 0 ? 0.0 : 500.0;
         Harness h(s);
-        h.submitAt(0, 1000, false);
+        accessAt(h, 0, 1000, false);
         h.simul.schedule(sim::secondsToTicks(5.0), [] {});
         h.simul.run();
         standby[v] = h.drive.finishModeTimes().standbyTicks;
@@ -235,13 +222,13 @@ TEST(SpinDown, RepeatedCycles)
 {
     Harness h(spec(20.0, 100.0));
     for (int i = 0; i < 5; ++i)
-        h.submitAt(sim::secondsToTicks(1.0 + i), 1000 + 4096 * i,
-                   false);
+        accessAt(h, sim::secondsToTicks(1.0 + i), 1000 + 4096 * i,
+                 false);
     h.simul.schedule(sim::secondsToTicks(10.0), [] {});
     h.simul.run();
     EXPECT_GE(h.drive.stats().spinDowns, 5u);
     EXPECT_GE(h.drive.stats().spinUps, 4u);
-    EXPECT_EQ(h.doneAt.size(), 5u);
+    EXPECT_EQ(h.completions.size(), 5u);
 }
 
 } // namespace

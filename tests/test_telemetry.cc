@@ -121,11 +121,14 @@ TEST(Tracer, MeanAndTotalMs)
 TEST(Registry, FindOrCreateAndSnapshotSorted)
 {
     telemetry::Registry registry;
-    telemetry::Counter &c = registry.counter("z.second");
-    registry.counter("a.first").inc(7);
-    c.inc(2);
+    std::uint64_t first = 7;
+    std::uint64_t second = 2;
+    telemetry::CountSource source;
+    source.expose(&registry,
+                  {{"z.second", &second}, {"a.first", &first}});
+    telemetry::Gauge &g = registry.gauge("m.gauge");
     // Same name returns the same node.
-    EXPECT_EQ(&registry.counter("z.second"), &c);
+    EXPECT_EQ(&registry.gauge("m.gauge"), &g);
     registry.setGauge("m.gauge", 1.5);
 
     const auto rows = registry.snapshot();
@@ -161,8 +164,9 @@ TEST(Hooks, NoopWithoutInstalledCurrents)
 {
     ASSERT_EQ(telemetry::Tracer::current(), nullptr);
     ASSERT_EQ(telemetry::Registry::current(), nullptr);
-    EXPECT_EQ(telemetry::counterHandle("nope"), nullptr);
-    telemetry::bump(nullptr); // must not crash
+    std::uint64_t n = 1;
+    telemetry::CountSource source; // exposes to nothing, retires nothing
+    source.expose(telemetry::activeRegistry(), {{"nope", &n}});
     telemetry::emitSpan(1, telemetry::SpanKind::Seek, 0, 10);
     SUCCEED();
 }
@@ -174,12 +178,55 @@ TEST(Hooks, ScopesInstallAndRestore)
     {
         telemetry::RegistryScope scope(&registry);
         EXPECT_EQ(telemetry::Registry::current(), &registry);
-        telemetry::Counter *c = telemetry::counterHandle("x");
-        ASSERT_NE(c, nullptr);
-        telemetry::bump(c, 3);
-        EXPECT_EQ(registry.counter("x").value, 3u);
+        std::uint64_t x = 3;
+        telemetry::CountSource source;
+        source.expose(telemetry::activeRegistry(), {{"x", &x}});
+        const auto rows = registry.snapshot();
+        ASSERT_EQ(rows.size(), 1u);
+        EXPECT_EQ(rows[0].name, "x");
+        EXPECT_DOUBLE_EQ(rows[0].value, 3.0);
     }
     EXPECT_EQ(telemetry::Registry::current(), nullptr);
+}
+
+TEST(Registry, SumsSourcesPerNameAndKeepsRetiredCounts)
+{
+    telemetry::Registry registry;
+    std::uint64_t a = 4, b = 10, c = 1;
+    auto value = [&registry](const char *name) {
+        for (const auto &row : registry.snapshot())
+            if (row.name == name)
+                return row.value;
+        return -1.0;
+    };
+    telemetry::CountSource live;
+    live.expose(&registry, {{"ops", &a}});
+    {
+        // Rows sharing a name sum, within a source as across them.
+        telemetry::CountSource gone;
+        gone.expose(&registry, {{"ops", &b}, {"ops", &c}});
+        EXPECT_DOUBLE_EQ(value("ops"), 15.0);
+        EXPECT_DOUBLE_EQ(registry.snapshotDelta()[0].value, 15.0);
+        b = 20;
+    }
+    // The retired source left its final count (21) behind, so the
+    // total never falls and the delta stream sees only new work.
+    EXPECT_DOUBLE_EQ(value("ops"), 25.0);
+    a = 6;
+    EXPECT_DOUBLE_EQ(registry.snapshotDelta()[0].value, 12.0);
+    EXPECT_DOUBLE_EQ(value("ops"), 27.0);
+}
+
+TEST(Registry, SourceOutlivingItsRegistryDetaches)
+{
+    std::uint64_t n = 2;
+    telemetry::CountSource source;
+    {
+        telemetry::Registry registry;
+        source.expose(&registry, {{"n", &n}});
+        ASSERT_EQ(registry.snapshot().size(), 1u);
+    }
+    SUCCEED(); // destroying the source now must not touch the registry
 }
 
 workload::Trace
@@ -247,6 +294,33 @@ TEST(RunTrace, TracedRunCarriesSpansAndMetrics)
     EXPECT_TRUE(found_fired);
     EXPECT_TRUE(found_media);
     EXPECT_TRUE(found_sched);
+}
+
+TEST(RunTrace, MetricsReadTheModulesOwnCounts)
+{
+    REQUIRE_TELEMETRY();
+    const core::RunResult r =
+        core::runTrace(smallTrace(), tracedSystem());
+    auto value = [&r](const char *name) {
+        for (const auto &m : r.metrics)
+            if (m.name == name)
+                return m.value;
+        ADD_FAILURE() << "metric " << name << " missing";
+        return -1.0;
+    };
+    EXPECT_DOUBLE_EQ(value("array.logical_requests"),
+                     static_cast<double>(r.requests));
+    EXPECT_DOUBLE_EQ(value("disk.media_accesses"),
+                     static_cast<double>(r.mediaAccesses));
+    // Write-through cache: every disk cache hit is a read hit.
+    EXPECT_DOUBLE_EQ(value("disk.cache_hits"),
+                     static_cast<double>(r.cacheHits));
+    EXPECT_DOUBLE_EQ(value("cache.read_hits"),
+                     static_cast<double>(r.cacheHits));
+    EXPECT_DOUBLE_EQ(value("sched.candidates_seen"),
+                     value("sched.candidates_priced") +
+                         value("sched.candidates_pruned"));
+    EXPECT_GT(value("sched.selections"), 0.0);
 }
 
 TEST(RunTrace, TracingDoesNotPerturbResults)

@@ -11,6 +11,7 @@
 
 #include "analytic/queueing.hh"
 #include "disk/disk_drive.hh"
+#include "rig.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "stats/sampler.hh"
@@ -18,7 +19,6 @@
 namespace {
 
 using namespace idp;
-using disk::DiskDrive;
 using disk::DriveSpec;
 using workload::IoRequest;
 
@@ -30,25 +30,28 @@ fcfsSpec()
     return spec;
 }
 
-struct Harness
-{
-    sim::Simulator simul;
-    stats::SampleSet responses;
-    stats::SampleSet services;
-    DiskDrive drive;
+using Harness = test::DriveRig;
 
-    explicit Harness(const DriveSpec &spec)
-        : drive(simul, spec,
-                [this](const IoRequest &r, sim::Tick done,
-                       const disk::ServiceInfo &info) {
-                    responses.add(sim::ticksToMs(done - r.arrival));
-                    services.add(sim::ticksToMs(
-                        info.seekTicks + info.rotTicks +
-                        info.xferTicks));
-                })
-    {
-    }
-};
+/** Response time of every completion, ms. */
+stats::SampleSet
+responsesMs(const Harness &h)
+{
+    stats::SampleSet out;
+    for (const test::Completion &c : h.completions)
+        out.add(sim::ticksToMs(c.done - c.req.arrival));
+    return out;
+}
+
+/** Service time (seek + rotation + transfer) of every completion, ms. */
+stats::SampleSet
+servicesMs(const Harness &h)
+{
+    stats::SampleSet out;
+    for (const test::Completion &c : h.completions)
+        out.add(sim::ticksToMs(c.info.seekTicks + c.info.rotTicks +
+                               c.info.xferTicks));
+    return out;
+}
 
 TEST(Validation, Md1QueueWait)
 {
@@ -81,12 +84,13 @@ TEST(Validation, Md1QueueWait)
                          [&h, req] { h.drive.submit(req); });
     }
     h.simul.run();
+    const stats::SampleSet services = servicesMs(h);
 
     // Measured service time should be the deterministic constant.
-    EXPECT_NEAR(h.services.mean(), service_ms, service_ms * 0.02);
-    EXPECT_LT(h.services.stddev(), service_ms * 0.05);
+    EXPECT_NEAR(services.mean(), service_ms, service_ms * 0.02);
+    EXPECT_LT(services.stddev(), service_ms * 0.05);
 
-    const double wq_measured = h.responses.mean() - h.services.mean();
+    const double wq_measured = responsesMs(h).mean() - services.mean();
     const double wq_theory = analytic::md1MeanWait(lambda, service_ms);
     EXPECT_NEAR(wq_measured, wq_theory, wq_theory * 0.10);
 }
@@ -123,10 +127,10 @@ TEST(Validation, Mg1RotationalServer)
                          [&h, req] { h.drive.submit(req); });
     }
     h.simul.run();
+    const stats::SampleSet services = servicesMs(h);
 
-    EXPECT_NEAR(h.services.mean(), moments.mean,
-                moments.mean * 0.03);
-    const double wq_measured = h.responses.mean() - h.services.mean();
+    EXPECT_NEAR(services.mean(), moments.mean, moments.mean * 0.03);
+    const double wq_measured = responsesMs(h).mean() - services.mean();
     const double wq_theory =
         analytic::mg1MeanWait(lambda, moments.mean, moments.second);
     EXPECT_NEAR(wq_measured, wq_theory, wq_theory * 0.12);
