@@ -17,6 +17,7 @@
 #include "config/env.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
+#include "core/run.hh"
 #include "exec/fork_join.hh"
 #include "exec/sim_sweep.hh"
 #include "stats/table.hh"
@@ -77,9 +78,10 @@ main()
         "RAID-5 (4 disks): healthy vs degraded mode");
     degraded_table.setHeader({"Members", "Mode", "Mean(ms)", "P90(ms)",
                               "AvgPower(W)"});
-    // Custom simulation loop (not runTrace), still one independent
-    // point per (members, mode): run it through the generic sweep
-    // engine, each point returning its table row.
+    // A member fails before the traffic starts, which runTrace has no
+    // hook for, so each (members, mode) point is its own serial
+    // core::Run, run through the generic sweep engine and returning
+    // its table row.
     struct Raid5Point
     {
         std::uint32_t arms;
@@ -95,31 +97,28 @@ main()
         [&trace, &env, &raid5_points](std::size_t i)
             -> std::vector<std::string> {
             const Raid5Point &pt = raid5_points[i];
-            sim::Simulator simul;
-            array::ArrayParams params;
-            params.layout = array::Layout::Raid5;
-            params.disks = 4;
-            params.drive = disk::barracudaEs750();
+            core::SystemConfig system;
+            system.array.layout = array::Layout::Raid5;
+            system.array.disks = 4;
+            system.array.drive = disk::barracudaEs750();
             if (pt.arms > 1)
-                params.drive = disk::makeIntraDiskParallel(
-                    params.drive, pt.arms);
-            env.apply(params);
-            stats::SampleSet resp;
-            array::StorageArray arr(
-                simul, params,
-                [&resp](const workload::IoRequest &r, sim::Tick t) {
-                    resp.add(sim::ticksToMs(t - r.arrival));
-                });
+                system.array.drive = disk::makeIntraDiskParallel(
+                    system.array.drive, pt.arms);
+            env.apply(system);
+            system.pdesWorkers = 0;
+            core::Run run(system);
+            array::StorageArray &arr = run.array();
             if (pt.degraded)
                 arr.failDisk(1);
             for (const auto &r : trace) {
                 workload::IoRequest scaled = r;
                 scaled.lba %= arr.logicalSectors() - 512;
-                simul.schedule(r.arrival, [&arr, scaled] {
+                run.sim().schedule(r.arrival, [&arr, scaled] {
                     arr.submit(scaled);
                 });
             }
-            simul.run();
+            run.drain();
+            const stats::SampleSet &resp = arr.stats().responseMs;
             const auto power = arr.finishPower();
             return {
                 pt.arms == 1 ? "conventional" : "SA(4)",

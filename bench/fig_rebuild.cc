@@ -23,17 +23,13 @@
  */
 
 #include <iostream>
-#include <memory>
 
 #include "array/rebuild.hh"
 #include "array/storage_array.hh"
 #include "bench_json.hh"
 #include "config/env.hh"
-#include "core/experiment.hh"
-#include "exec/pdes.hh"
-#include "sim/event_queue.hh"
+#include "core/run.hh"
 #include "stats/table.hh"
-#include "telemetry/telemetry.hh"
 #include "workload/synthetic.hh"
 
 namespace {
@@ -44,7 +40,7 @@ struct ConfigDef
 {
     const char *key;   ///< metric prefix
     const char *label; ///< table label
-    array::ArrayParams params;
+    core::SystemConfig system;
 };
 
 struct PhaseResult
@@ -71,20 +67,12 @@ enum class Phase
  *  are serially synchronized in both modes (every calendar still at
  *  tick 0), and the rebuild stream serializes its pump ticks. */
 PhaseResult
-runPhase(const config::Env &env, const ConfigDef &config, Phase phase,
+runPhase(const config::Env &env, core::SystemConfig system, Phase phase,
          const workload::Trace &trace, int pdes_workers = 0)
 {
-    std::unique_ptr<exec::PdesRun> prun;
-    if (pdes_workers > 0)
-        prun = std::make_unique<exec::PdesRun>(
-            config.params, static_cast<unsigned>(pdes_workers),
-            telemetry::TraceOptions{});
-    sim::Simulator serial_sim;
-    sim::Simulator &simul = prun ? prun->coordSim() : serial_sim;
-    array::StorageArray arr(simul, config.params, nullptr,
-                            prun.get());
-    if (prun)
-        prun->setArray(&arr);
+    system.pdesWorkers = pdes_workers;
+    core::Run run(system);
+    array::StorageArray &arr = run.array();
     if (phase != Phase::Healthy)
         arr.failDisk(0);
     if (phase == Phase::Rebuilding) {
@@ -95,12 +83,9 @@ runPhase(const config::Env &env, const ConfigDef &config, Phase phase,
     for (const auto &req : trace) {
         workload::IoRequest r = req;
         r.lba = req.lba % (arr.logicalSectors() - 64);
-        simul.schedule(r.arrival, [&arr, r] { arr.submit(r); });
+        run.sim().schedule(r.arrival, [&arr, r] { arr.submit(r); });
     }
-    if (prun)
-        prun->run();
-    else
-        simul.run();
+    run.drain();
     arr.sealStats();
 
     PhaseResult out;
@@ -120,37 +105,33 @@ runPhase(const config::Env &env, const ConfigDef &config, Phase phase,
     return out;
 }
 
-/** Healthy-mirror mean response under one RAID-1 replica policy. */
+/** Healthy-mirror mean response under one RAID-1 replica policy; the
+ *  policy is set after the knobs, so IDP_REPLICA cannot make the two
+ *  columns the same policy. */
 double
-mirrorMeanMs(const config::Env &env, ConfigDef config,
+mirrorMeanMs(const config::Env &env, core::SystemConfig system,
              array::ReplicaPolicy policy, const workload::Trace &trace)
 {
-    config.params.replica = policy;
-    env.apply(config.params);
-    return runPhase(env, config, Phase::Healthy, trace).meanMs;
+    system.array.replica = policy;
+    return runPhase(env, system, Phase::Healthy, trace).meanMs;
 }
 
 /**
  * Steady-state allocations of the pure rebuild path: a rebuild with
  * no foreground traffic, allocation counter read between the 25% and
  * 75% chunk landings. Rebuild I/O adds no array response sample, and
- * the drives' sample sets keep moments only, so no buffer grows.
+ * the drives' sample sets keep moments only, so no buffer grows. The
+ * probe runs unchecked: the checker's per-chunk rebuild ledger grows
+ * as chunks land, and that is the checker's cost, not the path's.
  */
 std::uint64_t
-rebuildSteadyAllocs(const config::Env &env, const ConfigDef &config,
+rebuildSteadyAllocs(const config::Env &env, core::SystemConfig system,
                     int pdes_workers = 0)
 {
-    std::unique_ptr<exec::PdesRun> prun;
-    if (pdes_workers > 0)
-        prun = std::make_unique<exec::PdesRun>(
-            config.params, static_cast<unsigned>(pdes_workers),
-            telemetry::TraceOptions{});
-    sim::Simulator serial_sim;
-    sim::Simulator &simul = prun ? prun->coordSim() : serial_sim;
-    array::StorageArray arr(simul, config.params, nullptr,
-                            prun.get());
-    if (prun)
-        prun->setArray(&arr);
+    system.pdesWorkers = pdes_workers;
+    system.checkInvariants = false;
+    core::Run run(system);
+    array::StorageArray &arr = run.array();
     arr.failDisk(0);
 
     std::uint64_t start_allocs = 0;
@@ -166,10 +147,7 @@ rebuildSteadyAllocs(const config::Env &env, const ConfigDef &config,
     };
     env.apply(rp);
     arr.startRebuild(0, rp);
-    if (prun)
-        prun->run();
-    else
-        simul.run();
+    run.drain();
     return end_allocs - start_allocs;
 }
 
@@ -195,25 +173,28 @@ main()
     ConfigDef configs[3];
     configs[0].key = "mirror_sa4";
     configs[0].label = "mirror-SA(4)";
-    configs[0].params.layout = array::Layout::Raid1;
-    configs[0].params.disks = 2;
-    configs[0].params.drive = disk::makeIntraDiskParallel(
+    configs[0].system.array.layout = array::Layout::Raid1;
+    configs[0].system.array.disks = 2;
+    configs[0].system.array.drive = disk::makeIntraDiskParallel(
         disk::enterpriseDrive(mirror_gb, 10000, 2), 4);
     configs[1].key = "mirror_conv";
     configs[1].label = "mirror-conv";
-    configs[1].params.layout = array::Layout::Raid1;
-    configs[1].params.disks = 2;
-    configs[1].params.drive =
+    configs[1].system.array.layout = array::Layout::Raid1;
+    configs[1].system.array.disks = 2;
+    configs[1].system.array.drive =
         disk::enterpriseDrive(mirror_gb, 10000, 2);
     configs[2].key = "raid5_conv";
     configs[2].label = "raid5-conv";
-    configs[2].params.layout = array::Layout::Raid5;
-    configs[2].params.disks = 4;
-    configs[2].params.drive =
+    configs[2].system.array.layout = array::Layout::Raid5;
+    configs[2].system.array.disks = 4;
+    configs[2].system.array.drive =
         disk::enterpriseDrive(raid5_gb, 10000, 2);
-    configs[2].params.stripeSectors = 128;
+    configs[2].system.array.stripeSectors = 128;
+    // The checker and tracing follow IDP_VERIFY and IDP_TRACE; each
+    // run sets its own worker count (serial study points, the parity
+    // block's 1/4/8 workers).
     for (ConfigDef &config : configs)
-        env.apply(config.params);
+        env.apply(config.system);
 
     workload::SyntheticParams wp;
     wp.requests = requests;
@@ -244,7 +225,7 @@ main()
         const ConfigDef &config = configs[c];
         for (int p = 0; p < 3; ++p) {
             const PhaseResult r =
-                runPhase(env, config, phases[p], trace);
+                runPhase(env, config.system, phases[p], trace);
             lifecycle[c][p] = r;
             const std::string prefix =
                 std::string(config.key) + "_" + phase_names[p];
@@ -287,10 +268,11 @@ main()
         {"Config", "Positioning", "Queue", "Gain"});
     double best_gain_pct = -1e9;
     for (int c = 0; c < 2; ++c) {
-        const double pos = mirrorMeanMs(
-            env, configs[c], array::ReplicaPolicy::Positioning, trace);
+        const double pos =
+            mirrorMeanMs(env, configs[c].system,
+                         array::ReplicaPolicy::Positioning, trace);
         const double queue = mirrorMeanMs(
-            env, configs[c], array::ReplicaPolicy::Queue, trace);
+            env, configs[c].system, array::ReplicaPolicy::Queue, trace);
         const double gain_pct = (1.0 - pos / queue) * 100.0;
         best_gain_pct = std::max(best_gain_pct, gain_pct);
         report.add(std::string(configs[c].key) + "_pos_mean_ms", pos,
@@ -307,7 +289,7 @@ main()
 
     // Pure rebuild path: no allocations in steady state.
     const std::uint64_t steady_allocs =
-        rebuildSteadyAllocs(env, configs[0]);
+        rebuildSteadyAllocs(env, configs[0].system);
     report.add("rebuild_steady_allocs",
                static_cast<double>(steady_allocs), "allocs");
 
@@ -321,7 +303,8 @@ main()
     bool pdes_matches = true;
     for (int w : {1, 4, 8}) {
         const PhaseResult rb =
-            runPhase(env, configs[0], Phase::Rebuilding, trace, w);
+            runPhase(env, configs[0].system, Phase::Rebuilding,
+                     trace, w);
         const PhaseResult &ref = lifecycle[0][2];
         pdes_matches = pdes_matches && rb.meanMs == ref.meanMs &&
             rb.p99Ms == ref.p99Ms &&
@@ -331,7 +314,7 @@ main()
     }
     {
         const PhaseResult dg =
-            runPhase(env, configs[0], Phase::Degraded, trace, 4);
+            runPhase(env, configs[0].system, Phase::Degraded, trace, 4);
         const PhaseResult &ref = lifecycle[0][1];
         pdes_matches = pdes_matches && dg.meanMs == ref.meanMs &&
             dg.p99Ms == ref.p99Ms &&
@@ -340,7 +323,7 @@ main()
     report.add("pdes_rebuild_matches_serial",
                pdes_matches ? 1.0 : 0.0, "bool");
     const std::uint64_t pdes_steady_allocs =
-        rebuildSteadyAllocs(env, configs[0], 4);
+        rebuildSteadyAllocs(env, configs[0].system, 4);
     report.add("pdes_rebuild_steady_allocs",
                static_cast<double>(pdes_steady_allocs), "allocs");
 

@@ -20,9 +20,8 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "array/storage_array.hh"
 #include "config/env.hh"
-#include "sim/event_queue.hh"
+#include "core/run.hh"
 #include "sim/rng.hh"
 #include "stats/table.hh"
 #include "stats/time_series.hh"
@@ -44,20 +43,23 @@ main(int argc, char **argv)
         sim::msToTicks(inter_ms);
     const sim::Tick window = horizon / 12;
 
-    sim::Simulator simul;
-    array::ArrayParams params;
-    params.layout = array::Layout::Raid5;
-    params.disks = 4;
-    params.drive =
+    core::SystemConfig system;
+    system.array.layout = array::Layout::Raid5;
+    system.array.disks = 4;
+    system.array.drive =
         disk::makeIntraDiskParallel(disk::barracudaEs750(), 4);
-    env.apply(params);
+    env.apply(system);
 
+    // The completion callback makes the run serial: the fault cascade
+    // below is scheduled on its one calendar.
     stats::TimeSeries series(window);
-    array::StorageArray arr(
-        simul, params,
+    core::Run run(
+        system,
         [&series](const workload::IoRequest &req, sim::Tick done) {
             series.add(done, sim::ticksToMs(done - req.arrival));
         });
+    sim::Simulator &simul = run.sim();
+    array::StorageArray &arr = run.array();
 
     sim::Rng rng(0xDEBDEB);
     const std::uint64_t space = arr.logicalSectors() - 64;
@@ -77,7 +79,7 @@ main(int argc, char **argv)
     simul.schedule(horizon / 4, [&arr] { arr.failMemberArm(2, 0); });
     simul.schedule(horizon / 2, [&arr] { arr.failMemberArm(2, 1); });
     simul.schedule(horizon * 3 / 4, [&arr] { arr.failDisk(1); });
-    simul.run();
+    run.drain();
 
     stats::TextTable table(
         "Response-time trajectory (RAID-5 of SA(4) drives; arm faults "

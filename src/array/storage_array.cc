@@ -156,14 +156,22 @@ StorageArray::StorageArray(sim::Simulator &simul,
         break;
       }
       case Layout::Raid0:
-        logicalSectors_ = diskSectors_ * params_.disks;
-        break;
       case Layout::Raid1:
-        logicalSectors_ = diskSectors_ * (params_.disks / 2);
+      case Layout::Raid5: {
+        // Striped layouts address whole stripe rows. When a member is
+        // not a stripe multiple, the last row is partial: r sectors
+        // per member, and only the first r sectors of the row (its
+        // first unit's in-range part) are contiguous and in range.
+        const std::uint64_t data = params_.layout == Layout::Raid0
+            ? params_.disks
+            : params_.layout == Layout::Raid1 ? params_.disks / 2
+                                              : params_.disks - 1;
+        sim::simAssert(params_.stripeSectors >= 1,
+                       "array: stripe unit must be at least a sector");
+        const std::uint64_t r = diskSectors_ % params_.stripeSectors;
+        logicalSectors_ = (diskSectors_ - r) * data + r;
         break;
-      case Layout::Raid5:
-        logicalSectors_ = diskSectors_ * (params_.disks - 1);
-        break;
+      }
     }
 
     if (params_.governor.enabled) {

@@ -1,20 +1,14 @@
 #include "config/env.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <type_traits>
-
-#include "config/ini.hh"
 
 namespace idp {
 namespace config {
 
 namespace {
-
-/** Every count knob fits the 32-bit fields it lands in. */
-constexpr double kCountMax = 4294967295.0;
 
 template <typename T> struct Unwrap
 {
@@ -42,8 +36,8 @@ set(Env &env, double number, const std::string &text)
         field = static_cast<V>(number);
 }
 
-using K = EnvKind;
-using D = EnvDomain;
+using K = ValueKind;
+using D = ValueDomain;
 
 const std::vector<EnvVar> kTable = {
     {"IDP_REQUESTS", K::Count, D::Positive, nullptr, "each bench's own",
@@ -149,59 +143,6 @@ const std::vector<EnvVar> kTable = {
      set<&Env::serveMaxInFlight>},
 };
 
-/** The accepted form of @p var, for the bad-value message. */
-std::string
-acceptedForm(const EnvVar &var)
-{
-    switch (var.kind) {
-      case K::Switch:
-        return "1|0|true|false|yes|no|on|off";
-      case K::Count:
-        return std::string("a whole number from ") +
-            (var.domain == D::Positive ? "1" : "0") + " to 4294967295";
-      case K::Real:
-        if (var.domain == D::Fraction)
-            return "a finite number in [0, 1]";
-        return var.domain == D::Positive ? "a finite number > 0"
-                                         : "a finite number >= 0";
-      case K::Name:
-        return std::string("one of ") + var.names;
-      case K::Text:
-        break;
-    }
-    return "any text";
-}
-
-/** @p text as @p var's number (switch 0/1, count, real), or nullopt
- *  when it is not one of the row's kind and domain. */
-std::optional<double>
-parseNumber(const EnvVar &var, const std::string &text)
-{
-    if (var.kind == K::Switch) {
-        const std::optional<bool> b = parseBool(text);
-        return b ? std::optional<double>(*b) : std::nullopt;
-    }
-    if (var.kind == K::Count) {
-        const bool digits =
-            std::all_of(text.begin(), text.end(), [](unsigned char c) {
-                return c >= '0' && c <= '9';
-            });
-        const std::optional<std::int64_t> n =
-            digits ? parseInt(text) : std::nullopt;
-        const double v = n ? static_cast<double>(*n) : -1.0;
-        const double lo = var.domain == D::Positive ? 1.0 : 0.0;
-        return v >= lo && v <= kCountMax ? std::optional<double>(v)
-                                         : std::nullopt;
-    }
-    const std::optional<double> r = parseDouble(text);
-    if (!r || !std::isfinite(*r))
-        return std::nullopt;
-    const bool ok = var.domain == D::Positive ? *r > 0.0
-        : var.domain == D::Fraction           ? *r >= 0.0 && *r <= 1.0
-                                              : *r >= 0.0;
-    return ok ? r : std::nullopt;
-}
-
 /** True when @p text is one of @p var's '|'-separated names. */
 bool
 isName(const EnvVar &var, const std::string &text)
@@ -223,10 +164,11 @@ resolveOne(Env &env, const EnvVar &var, const std::string &text)
     if (var.kind == K::Name && !isName(var, text))
         number.reset();
     else if (var.kind != K::Name && var.kind != K::Text)
-        number = parseNumber(var, text);
+        number = parseValue(var.kind, var.domain, text);
     if (!number)
         sim::fatal(std::string(var.name) + ": expected " +
-                   acceptedForm(var) + ", got \"" + text + "\"");
+                   acceptedForm(var.kind, var.domain, var.names) +
+                   ", got \"" + text + "\"");
     var.store(env, *number, text);
 }
 

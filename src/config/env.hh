@@ -12,14 +12,9 @@
  *
  * One policy for every value: an unset or empty variable means the
  * row's default. Any other value must parse as the row's kind and
- * fall in its domain, or the process exits naming the variable and
- * the accepted form. The kinds:
- *
- *   switch  1|0|true|false|yes|no|on|off, any case (IniFile::getBool)
- *   count   whole decimal digits, 0 or 1 up to 2^32 - 1
- *   real    a finite number: > 0, >= 0, or within [0, 1]
- *   name    one of the row's names
- *   text    any string (directories)
+ * fall in its domain (config::ValueKind and ValueDomain, shared with
+ * the INI front end), or the process exits naming the variable and
+ * the accepted form.
  *
  * README.md's "Environment variables" table lists the same names
  * (checked by EnvTable.ReadmeListsEveryKnob).
@@ -34,6 +29,7 @@
 #include <vector>
 
 #include "array/rebuild.hh"
+#include "config/ini.hh"
 #include "core/experiment.hh"
 #include "exec/fork_join.hh"
 #include "serve/service_loop.hh"
@@ -42,25 +38,6 @@
 
 namespace idp {
 namespace config {
-
-/** What a knob's value must parse as (see the file comment). */
-enum class EnvKind
-{
-    Switch,
-    Count,
-    Real,
-    Name,
-    Text,
-};
-
-/** Accepted range of a Count or Real knob. */
-enum class EnvDomain
-{
-    Any,         ///< switch, name and text knobs
-    Positive,    ///< count >= 1; real > 0
-    NonNegative, ///< count >= 0; real >= 0
-    Fraction,    ///< real in [0, 1]
-};
 
 /**
  * Everything the environment set, parsed. Fields that override a
@@ -131,8 +108,8 @@ struct Env
 struct EnvVar
 {
     const char *name;
-    EnvKind kind;
-    EnvDomain domain;
+    ValueKind kind;
+    ValueDomain domain;
     /** Name kind: the accepted names, '|'-separated. */
     const char *names;
     /** The value when unset, as documented. */

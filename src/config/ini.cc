@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -12,6 +13,9 @@ namespace idp {
 namespace config {
 
 namespace {
+
+/** Every count fits the 32-bit fields it lands in. */
+constexpr double kCountMax = 4294967295.0;
 
 std::string
 trim(const std::string &s)
@@ -153,6 +157,88 @@ parseBool(const std::string &text)
     if (raw == "false" || raw == "no" || raw == "off" || raw == "0")
         return false;
     return std::nullopt;
+}
+
+std::optional<double>
+parseValue(ValueKind kind, ValueDomain domain, const std::string &text)
+{
+    if (kind == ValueKind::Switch) {
+        const std::optional<bool> b = parseBool(text);
+        return b ? std::optional<double>(*b) : std::nullopt;
+    }
+    if (kind == ValueKind::Count) {
+        const bool digits =
+            std::all_of(text.begin(), text.end(), [](unsigned char c) {
+                return c >= '0' && c <= '9';
+            });
+        const std::optional<std::int64_t> n =
+            digits ? parseInt(text) : std::nullopt;
+        const double v = n ? static_cast<double>(*n) : -1.0;
+        const double lo = domain == ValueDomain::Positive ? 1.0 : 0.0;
+        return v >= lo && v <= kCountMax ? std::optional<double>(v)
+                                         : std::nullopt;
+    }
+    if (kind != ValueKind::Real)
+        return std::nullopt;
+    const std::optional<double> r = parseDouble(text);
+    if (!r || !std::isfinite(*r))
+        return std::nullopt;
+    const bool ok = domain == ValueDomain::Positive ? *r > 0.0
+        : domain == ValueDomain::Fraction ? *r >= 0.0 && *r <= 1.0
+                                          : *r >= 0.0;
+    return ok ? r : std::nullopt;
+}
+
+std::string
+acceptedForm(ValueKind kind, ValueDomain domain, const char *names)
+{
+    switch (kind) {
+      case ValueKind::Switch:
+        return "1|0|true|false|yes|no|on|off";
+      case ValueKind::Count:
+        return std::string("a whole number from ") +
+            (domain == ValueDomain::Positive ? "1" : "0") +
+            " to 4294967295";
+      case ValueKind::Real:
+        if (domain == ValueDomain::Fraction)
+            return "a finite number in [0, 1]";
+        return domain == ValueDomain::Positive ? "a finite number > 0"
+                                               : "a finite number >= 0";
+      case ValueKind::Name:
+        return std::string("one of ") + names;
+      case ValueKind::Text:
+        break;
+    }
+    return "any text";
+}
+
+std::uint32_t
+IniFile::getCount(const std::string &section, const std::string &key,
+                  ValueDomain domain, std::uint32_t fallback) const
+{
+    return static_cast<std::uint32_t>(
+        checked(section, key, ValueKind::Count, domain, fallback));
+}
+
+double
+IniFile::getReal(const std::string &section, const std::string &key,
+                 ValueDomain domain, double fallback) const
+{
+    return checked(section, key, ValueKind::Real, domain, fallback);
+}
+
+double
+IniFile::checked(const std::string &section, const std::string &key,
+                 ValueKind kind, ValueDomain domain,
+                 double fallback) const
+{
+    if (!has(section, key))
+        return fallback;
+    const std::string raw = get(section, key);
+    if (const std::optional<double> v = parseValue(kind, domain, raw))
+        return *v;
+    sim::fatal("config [" + section + "] " + key + ": expected " +
+               acceptedForm(kind, domain) + ", got \"" + raw + "\"");
 }
 
 double

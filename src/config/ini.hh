@@ -36,6 +36,44 @@ std::optional<double> parseDouble(const std::string &text);
 std::optional<std::int64_t> parseInt(const std::string &text);
 std::optional<bool> parseBool(const std::string &text);
 
+/**
+ * What a configuration value must parse as — one policy for the
+ * environment table and the INI front end:
+ *
+ *   switch  1|0|true|false|yes|no|on|off, any case
+ *   count   whole decimal digits, 0 or 1 up to 2^32 - 1
+ *   real    a finite number: > 0, >= 0, or within [0, 1]
+ *   name    one of a list of names
+ *   text    any string
+ */
+enum class ValueKind
+{
+    Switch,
+    Count,
+    Real,
+    Name,
+    Text,
+};
+
+/** Accepted range of a Count or Real value. */
+enum class ValueDomain
+{
+    Any,         ///< switch, name and text values
+    Positive,    ///< count >= 1; real > 0
+    NonNegative, ///< count >= 0; real >= 0
+    Fraction,    ///< real in [0, 1]
+};
+
+/** @p text as a switch (0/1), count or real of @p domain; nullopt
+ *  when it is not one. */
+std::optional<double> parseValue(ValueKind kind, ValueDomain domain,
+                                 const std::string &text);
+
+/** The accepted form of @p kind and @p domain, for bad-value
+ *  messages; a Name kind lists @p names ('|'-separated). */
+std::string acceptedForm(ValueKind kind, ValueDomain domain,
+                         const char *names = nullptr);
+
 /** Parsed INI document. */
 class IniFile
 {
@@ -82,6 +120,14 @@ class IniFile
     bool getBool(const std::string &section, const std::string &key,
                  bool fallback) const;
 
+    /** A count or real of @p domain (see parseValue); fatal naming
+     *  [section] key and the accepted form otherwise. */
+    std::uint32_t getCount(const std::string &section,
+                           const std::string &key, ValueDomain domain,
+                           std::uint32_t fallback) const;
+    double getReal(const std::string &section, const std::string &key,
+                   ValueDomain domain, double fallback) const;
+
     /** Value that must exist; fatal otherwise. */
     std::string require(const std::string &section,
                         const std::string &key) const;
@@ -96,6 +142,12 @@ class IniFile
     std::vector<std::string> keys(const std::string &section) const;
 
   private:
+    /** getCount/getReal: the value as a number of @p kind and
+     *  @p domain, @p fallback when absent. */
+    double checked(const std::string &section, const std::string &key,
+                   ValueKind kind, ValueDomain domain,
+                   double fallback) const;
+
     struct Section
     {
         std::map<std::string, std::string> values;

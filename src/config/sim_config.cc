@@ -29,55 +29,52 @@ commercialFromName(const std::string &name)
 disk::DriveSpec
 driveFromIni(const IniFile &ini, disk::DriveSpec base)
 {
+    using D = ValueDomain;
     const std::string s = "drive";
-    base.rpm = static_cast<std::uint32_t>(
-        ini.getInt(s, "rpm", base.rpm));
+    // Each key overrides its field when present.
+    auto count = [&](const char *key, std::uint32_t &field,
+                     D domain = D::Positive) {
+        field = ini.getCount(s, key, domain, field);
+    };
+    auto real = [&](const char *key, double &field,
+                    D domain = D::NonNegative) {
+        field = ini.getReal(s, key, domain, field);
+    };
+    auto flag = [&](const char *key, bool &field) {
+        field = ini.getBool(s, key, field);
+    };
+    count("rpm", base.rpm);
     if (ini.has(s, "capacity_gb"))
         base.geometry.capacityBytes = static_cast<std::uint64_t>(
-            ini.getDouble(s, "capacity_gb", 0.0) * 1e9);
-    base.geometry.platters = static_cast<std::uint32_t>(
-        ini.getInt(s, "platters", base.geometry.platters));
+            ini.getReal(s, "capacity_gb", D::Positive, 0.0) * 1e9);
+    count("platters", base.geometry.platters);
     if (ini.has(s, "cache_mb"))
         base.cache.cacheBytes = static_cast<std::uint64_t>(
-            ini.getDouble(s, "cache_mb", 8.0) * 1024 * 1024);
-    base.dash.armAssemblies = static_cast<std::uint32_t>(
-        ini.getInt(s, "actuators", base.dash.armAssemblies));
-    base.dash.headsPerArm = static_cast<std::uint32_t>(
-        ini.getInt(s, "heads_per_arm", base.dash.headsPerArm));
-    base.dash.surfaces = static_cast<std::uint32_t>(
-        ini.getInt(s, "surfaces", base.dash.surfaces));
+            ini.getReal(s, "cache_mb", D::NonNegative, 0.0) * 1024 *
+            1024);
+    count("actuators", base.dash.armAssemblies);
+    count("heads_per_arm", base.dash.headsPerArm);
+    count("surfaces", base.dash.surfaces);
     if (ini.has(s, "policy"))
         base.sched.policy =
             sched::policyFromString(ini.get(s, "policy"));
-    base.schedWindow = static_cast<std::uint32_t>(
-        ini.getInt(s, "window", base.schedWindow));
-    base.seek.singleCylinderMs =
-        ini.getDouble(s, "seek_single_ms", base.seek.singleCylinderMs);
-    base.seek.averageMs =
-        ini.getDouble(s, "seek_avg_ms", base.seek.averageMs);
-    base.seek.fullStrokeMs =
-        ini.getDouble(s, "seek_full_ms", base.seek.fullStrokeMs);
-    base.power.platterDiameterIn = ini.getDouble(
-        s, "platter_diameter_in", base.power.platterDiameterIn);
-    base.seekScale = ini.getDouble(s, "seek_scale", base.seekScale);
-    base.rotScale = ini.getDouble(s, "rot_scale", base.rotScale);
-    base.cache.writeBack =
-        ini.getBool(s, "write_back", base.cache.writeBack);
-    base.maxConcurrentSeeks = static_cast<std::uint32_t>(ini.getInt(
-        s, "max_concurrent_seeks", base.maxConcurrentSeeks));
-    base.maxConcurrentTransfers = static_cast<std::uint32_t>(
-        ini.getInt(s, "max_concurrent_transfers",
-                   base.maxConcurrentTransfers));
-    base.zeroLatencyAccess =
-        ini.getBool(s, "zero_latency", base.zeroLatencyAccess);
-    base.coalesce = ini.getBool(s, "coalesce", base.coalesce);
-    base.mediaRetryRate =
-        ini.getDouble(s, "media_retry_rate", base.mediaRetryRate);
-    base.spinDownAfterMs =
-        ini.getDouble(s, "spin_down_after_ms", base.spinDownAfterMs);
-    base.spinUpMs = ini.getDouble(s, "spin_up_ms", base.spinUpMs);
-    base.maxRetries = static_cast<std::uint32_t>(
-        ini.getInt(s, "max_retries", base.maxRetries));
+    count("window", base.schedWindow);
+    real("seek_single_ms", base.seek.singleCylinderMs);
+    real("seek_avg_ms", base.seek.averageMs);
+    real("seek_full_ms", base.seek.fullStrokeMs);
+    real("platter_diameter_in", base.power.platterDiameterIn,
+         D::Positive);
+    real("seek_scale", base.seekScale);
+    real("rot_scale", base.rotScale);
+    flag("write_back", base.cache.writeBack);
+    count("max_concurrent_seeks", base.maxConcurrentSeeks);
+    count("max_concurrent_transfers", base.maxConcurrentTransfers);
+    flag("zero_latency", base.zeroLatencyAccess);
+    flag("coalesce", base.coalesce);
+    real("media_retry_rate", base.mediaRetryRate, D::Fraction);
+    real("spin_down_after_ms", base.spinDownAfterMs);
+    real("spin_up_ms", base.spinUpMs);
+    count("max_retries", base.maxRetries, D::NonNegative);
     // seek_curve = d1:ms1,d2:ms2,... (measured profile)
     if (ini.has(s, "seek_curve")) {
         base.seek.curvePoints.clear();
@@ -89,13 +86,24 @@ driveFromIni(const IniFile &ini, disk::DriveSpec base)
                 comma = raw.size();
             const std::string token = raw.substr(pos, comma - pos);
             const std::size_t colon = token.find(':');
-            if (colon == std::string::npos)
-                sim::fatal("config [drive] seek_curve: expected "
-                           "dist:ms pairs, got " + token);
+            std::optional<double> dist;
+            std::optional<double> ms;
+            if (colon != std::string::npos) {
+                dist = parseValue(ValueKind::Count, D::Positive,
+                                  token.substr(0, colon));
+                ms = parseValue(ValueKind::Real, D::NonNegative,
+                                token.substr(colon + 1));
+            }
+            if (!dist || !ms)
+                sim::fatal(
+                    "config [drive] seek_curve: expected dist:ms "
+                    "pairs, dist " +
+                    acceptedForm(ValueKind::Count, D::Positive) +
+                    " and ms " +
+                    acceptedForm(ValueKind::Real, D::NonNegative) +
+                    ", got \"" + token + "\"");
             base.seek.curvePoints.emplace_back(
-                static_cast<std::uint32_t>(
-                    std::stoul(token.substr(0, colon))),
-                std::stod(token.substr(colon + 1)));
+                static_cast<std::uint32_t>(*dist), *ms);
             pos = comma + 1;
         }
     }
@@ -106,26 +114,29 @@ driveFromIni(const IniFile &ini, disk::DriveSpec base)
 workload::Trace
 traceFromIni(const IniFile &ini)
 {
+    using D = ValueDomain;
     const std::string s = "workload";
     const std::string kind = ini.get(s, "kind", "synthetic");
-    const std::uint64_t requests = static_cast<std::uint64_t>(
-        ini.getInt(s, "requests", 100000));
+    const std::uint64_t requests =
+        ini.getCount(s, "requests", D::Positive, 100000);
 
     if (kind == "synthetic") {
         workload::SyntheticParams p;
         p.requests = requests;
         p.meanInterArrivalMs =
-            ini.getDouble(s, "inter_arrival_ms", 4.0);
-        p.readFraction = ini.getDouble(s, "read_fraction", 0.6);
+            ini.getReal(s, "inter_arrival_ms", D::Positive, 4.0);
+        p.readFraction =
+            ini.getReal(s, "read_fraction", D::Fraction, 0.6);
         p.sequentialFraction =
-            ini.getDouble(s, "sequential_fraction", 0.2);
+            ini.getReal(s, "sequential_fraction", D::Fraction, 0.2);
         p.minSectors = static_cast<std::uint32_t>(
-            ini.getDouble(s, "min_kb", 4.0) * 2.0);
+            ini.getReal(s, "min_kb", D::Positive, 4.0) * 2.0);
         p.maxSectors = static_cast<std::uint32_t>(
-            ini.getDouble(s, "max_kb", 32.0) * 2.0);
+            ini.getReal(s, "max_kb", D::Positive, 32.0) * 2.0);
         if (ini.has(s, "address_gb"))
             p.addressSpaceSectors = static_cast<std::uint64_t>(
-                ini.getDouble(s, "address_gb", 700.0) * 1e9 / 512.0);
+                ini.getReal(s, "address_gb", D::Positive, 700.0) * 1e9 /
+                512.0);
         p.seed = static_cast<std::uint64_t>(
             ini.getInt(s, "seed", 0x5EED5EED));
         return workload::generateSynthetic(p);
@@ -136,7 +147,7 @@ traceFromIni(const IniFile &ini)
     workload::CommercialParams p;
     p.kind = commercialFromName(kind);
     p.requests = requests;
-    p.intensityScale = ini.getDouble(s, "intensity", 1.0);
+    p.intensityScale = ini.getReal(s, "intensity", D::Positive, 1.0);
     p.seed =
         static_cast<std::uint64_t>(ini.getInt(s, "seed", 0));
     return workload::generateCommercial(p);
@@ -152,8 +163,8 @@ experimentFromIni(const IniFile &ini)
     const std::string layout =
         ini.get("system", "layout", "single");
     const std::string kind = ini.get("workload", "kind", "synthetic");
-    const std::uint32_t disks = static_cast<std::uint32_t>(
-        ini.getInt("system", "disks", 1));
+    const std::uint32_t disks =
+        ini.getCount("system", "disks", ValueDomain::Positive, 1);
 
     if (layout == "md" || layout == "hcsd") {
         sim::simAssert(kind != "synthetic" && kind != "file",
@@ -185,15 +196,17 @@ experimentFromIni(const IniFile &ini)
         if (ini.has("system", "stripe_kb"))
             exp.system.array.stripeSectors =
                 static_cast<std::uint32_t>(
-                    ini.getDouble("system", "stripe_kb", 64.0) * 2.0);
+                    ini.getReal("system", "stripe_kb",
+                                ValueDomain::Positive, 64.0) *
+                    2.0);
     }
 
     exp.system.array.useBus =
         ini.getBool("system", "use_bus", false);
-    exp.system.array.bus.bandwidthMBps =
-        ini.getDouble("system", "bus_mbps", 300.0);
-    exp.system.array.bus.channels = static_cast<std::uint32_t>(
-        ini.getInt("system", "bus_channels", 1));
+    exp.system.array.bus.bandwidthMBps = ini.getReal(
+        "system", "bus_mbps", ValueDomain::Positive, 300.0);
+    exp.system.array.bus.channels = ini.getCount(
+        "system", "bus_channels", ValueDomain::Positive, 1);
     return exp;
 }
 

@@ -1,11 +1,9 @@
 #include "core/closed_loop.hh"
 
-#include <memory>
-
+#include "core/run.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "stats/sampler.hh"
-#include "verify/verify.hh"
 
 namespace idp {
 namespace core {
@@ -24,18 +22,6 @@ runClosedLoop(const SystemConfig &config,
     sim::simAssert(params.horizonSeconds > 0.0,
                    "closed loop: needs a horizon");
 
-    // Same invariant-checking policy as runTrace: install unless the
-    // config disables it or the caller already installed one.
-    std::unique_ptr<verify::InvariantChecker> checker;
-    std::unique_ptr<verify::VerifyScope> verify_scope;
-    if (verify::kCompiledIn && config.checkInvariants &&
-        verify::activeChecker() == nullptr) {
-        checker = std::make_unique<verify::InvariantChecker>();
-        verify_scope =
-            std::make_unique<verify::VerifyScope>(checker.get());
-    }
-
-    sim::Simulator simul;
     sim::Rng rng(params.seed);
     stats::SampleSet responses;
     std::uint64_t completions = 0;
@@ -46,9 +32,10 @@ runClosedLoop(const SystemConfig &config,
     std::vector<std::uint64_t> next_seq(params.workers, 0);
     std::function<void(std::uint32_t)> issue; // wired below
 
-    array::StorageArray arr(
-        simul, config.array,
-        [&](const workload::IoRequest &req, sim::Tick done) {
+    // The callback runs only once the run drains, so it may name the
+    // run it is handed to.
+    Run run(
+        config, [&](const workload::IoRequest &req, sim::Tick done) {
             responses.add(sim::ticksToMs(done - req.arrival));
             ++completions;
             if (done >= horizon)
@@ -57,8 +44,10 @@ runClosedLoop(const SystemConfig &config,
                 static_cast<std::uint32_t>(req.id >> 32);
             const sim::Tick think =
                 sim::msToTicks(rng.exponential(params.thinkMs));
-            simul.schedule(done + think, [&issue, w] { issue(w); });
+            run.sim().schedule(done + think, [&issue, w] { issue(w); });
         });
+    sim::Simulator &simul = run.sim();
+    array::StorageArray &arr = run.array();
 
     const std::uint64_t space = params.addressSpaceSectors
         ? params.addressSpaceSectors
@@ -89,13 +78,11 @@ runClosedLoop(const SystemConfig &config,
             sim::msToTicks(rng.exponential(params.thinkMs));
         simul.schedule(start, [&issue, w] { issue(w); });
     }
-    simul.run();
-    if (checker)
-        checker->finalize();
+    run.drain();
 
     ClosedLoopResult result;
     result.completions = completions;
-    result.horizonSeconds = sim::ticksToSeconds(simul.now());
+    result.horizonSeconds = sim::ticksToSeconds(run.endTick());
     result.throughputIops = result.horizonSeconds > 0.0
         ? static_cast<double>(completions) / result.horizonSeconds
         : 0.0;

@@ -153,19 +153,5 @@ maybeExportCsv(const std::string &dir, const std::string &stem,
     return true;
 }
 
-void
-writeLabeledMetricsCsv(
-    std::ostream &os, const std::string &label_column,
-    const std::vector<
-        std::pair<std::string, std::vector<telemetry::MetricSample>>>
-        &series)
-{
-    os << label_column << ",metric,value\n";
-    for (const auto &[label, samples] : series)
-        for (const auto &m : samples)
-            os << label << ',' << m.name << ','
-               << stats::fmt(m.value, 6) << '\n';
-}
-
 } // namespace core
 } // namespace idp

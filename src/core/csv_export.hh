@@ -55,19 +55,6 @@ void writeMetricsCsv(const std::string &path,
 bool maybeExportCsv(const std::string &dir, const std::string &stem,
                     const std::vector<RunResult> &results);
 
-/**
- * Write labeled telemetry rows in long form: a header of
- * "<label_column>,metric,value" followed by one row per sample per
- * series entry, in series order. The serving front end exports its
- * periodic registry snapshot deltas this way (the label being the
- * snapshot's simulated-time stamp).
- */
-void writeLabeledMetricsCsv(
-    std::ostream &os, const std::string &label_column,
-    const std::vector<
-        std::pair<std::string, std::vector<telemetry::MetricSample>>>
-        &series);
-
 } // namespace core
 } // namespace idp
 

@@ -45,16 +45,16 @@ struct SystemConfig
     std::string name;
     array::ArrayParams array;
     /**
-     * Intra-run PDES workers for runTrace: 0 runs the serial event
-     * loop, > 0 the exec::PdesRun engine with that many workers.
-     * Results are byte-identical either way.
+     * Intra-run PDES workers for an open-loop run (core::Run): 0 runs
+     * the serial event loop, > 0 the exec::PdesRun engine with that
+     * many workers. Results are byte-identical either way.
      */
     int pdesWorkers = 0;
-    /** Install an invariant checker for the run (runTrace,
-     *  runClosedLoop, serve::runService) unless the caller already
-     *  installed one. */
+    /** Install an invariant checker for the run (core::Run) unless
+     *  the caller already installed one. */
     bool checkInvariants = verify::kCompiledIn;
-    /** Span tracing and the metrics registry (runTrace). */
+    /** Span tracing and the metrics registry of an open-loop run
+     *  (core::Run). */
     telemetry::TraceOptions tracing;
 };
 

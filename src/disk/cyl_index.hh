@@ -110,13 +110,6 @@ class CylinderBuckets
     /** Lowest occupied bucket index >= @p bucket (kNil when none). */
     std::uint32_t firstOccupiedAtOrAbove(std::uint32_t bucket) const;
 
-    /** Lowest occupied bucket (kNil when the index is empty). */
-    std::uint32_t
-    firstOccupied() const
-    {
-        return firstOccupiedAtOrAbove(0);
-    }
-
   private:
     std::uint32_t width_ = 1; ///< cylinders per bucket
     std::size_t size_ = 0;

@@ -792,27 +792,19 @@ DiskDrive::tryDispatch()
         PendingList &source = fgList_.size == 0 ? bgList_ : fgList_;
         sched::Choice choice;
         priced_.clear();
+        windowIndex_.bind(this, &source);
         if (schedIndexed_) {
             // Pruned path: hand the scheduler the incrementally
             // maintained cylinder index over the window — no window
             // materialization, and only candidates the admissible
             // seek bound cannot exclude are priced.
-            windowIndex_.bind(this, &source);
             choice = scheduler_->selectIndexed(idleArms_, oracle_,
                                                sim_.now(),
                                                windowIndex_);
         } else {
             // Exhaustive path: materialize the scheduling window
-            // (oldest first) by walking the intrusive FIFO.
-            window_.clear();
-            for (std::uint32_t s = source.head; s != kNilSlot;
-                 s = pendingPool_[s].next) {
-                const Pending &p = pendingPool_[s];
-                if (!p.inWindow)
-                    break;
-                window_.push_back({s, p.req.lba, p.cylinder,
-                                   p.req.arrival, p.req.isRead});
-            }
+            // (oldest first).
+            windowIndex_.materializeWindow(window_);
             choice = scheduler_->select(window_, idleArms_, oracle_,
                                         sim_.now());
         }
@@ -1321,29 +1313,6 @@ DiskDrive::WindowIndex::firstAtOrAbove(std::uint32_t cylinder,
         bucket = index.firstOccupiedAtOrAbove(bucket + 1);
     }
     return false;
-}
-
-bool
-DiskDrive::WindowIndex::lowestCylinder(sched::IndexedCandidate &out)
-{
-    const CylinderBuckets &index = list_->index;
-    const std::uint32_t bucket = index.firstOccupied();
-    if (bucket == CylinderBuckets::kNil)
-        return false;
-    bool have = false;
-    for (std::uint32_t s = index.head(bucket);
-         s != CylinderBuckets::kNil; s = index.next(s)) {
-        const Pending &p = drive_->pendingPool_[s];
-        ++visited_;
-        if (!have || p.cylinder < out.view.cylinder ||
-            (p.cylinder == out.view.cylinder && p.seq < out.order)) {
-            out = {{s, p.req.lba, p.cylinder, p.req.arrival,
-                    p.req.isRead},
-                   p.seq};
-            have = true;
-        }
-    }
-    return have;
 }
 
 void

@@ -498,7 +498,6 @@ class DiskDrive
             override;
         bool firstAtOrAbove(std::uint32_t cylinder,
                             sched::IndexedCandidate &out) override;
-        bool lowestCylinder(sched::IndexedCandidate &out) override;
         void materializeWindow(
             std::vector<sched::PendingView> &out) const override;
         std::uint64_t visited() const override { return visited_; }

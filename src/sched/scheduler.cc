@@ -193,8 +193,6 @@ shouldCrossCheck(std::uint64_t &tick)
 class FcfsScheduler : public IoScheduler
 {
   public:
-    std::string name() const override { return "fcfs"; }
-
     Choice
     select(const std::vector<PendingView> &pending,
            const std::vector<ArmView> &arms, const PositioningFn &cost,
@@ -210,22 +208,11 @@ class FcfsScheduler : public IoScheduler
             cheapestArm(pending[oldest], arms, cost);
         return {pending[oldest].slot, arms[arm].index};
     }
-
-    std::uint64_t
-    candidatesExamined(std::size_t pending,
-                       std::size_t arms) const override
-    {
-        // One age scan over the window, then one priced arm per
-        // idle arm for the oldest request.
-        return pending + arms;
-    }
 };
 
 class SstfScheduler : public IoScheduler
 {
   public:
-    std::string name() const override { return "sstf"; }
-
     Choice
     select(const std::vector<PendingView> &pending,
            const std::vector<ArmView> &arms,
@@ -237,7 +224,7 @@ class SstfScheduler : public IoScheduler
 
     Choice
     selectIndexed(const std::vector<ArmView> &arms,
-                  const PositioningFn &cost, sim::Tick now,
+                  const PositioningFn & /*cost*/, sim::Tick /*now*/,
                   CylinderIndex &index) override
     {
         // SSTF's cost metric *is* the cylinder distance, so the band
@@ -287,14 +274,6 @@ class SstfScheduler : public IoScheduler
         return got;
     }
 
-    std::uint64_t
-    candidatesExamined(std::size_t pending,
-                       std::size_t arms) const override
-    {
-        // Every (request, arm) cylinder distance is compared.
-        return static_cast<std::uint64_t>(pending) * arms;
-    }
-
   private:
     std::vector<IndexedCandidate> band_;
     std::uint64_t crossTick_ = 0;
@@ -303,8 +282,6 @@ class SstfScheduler : public IoScheduler
 class ClookScheduler : public IoScheduler
 {
   public:
-    std::string name() const override { return "clook"; }
-
     Choice
     select(const std::vector<PendingView> &pending,
            const std::vector<ArmView> &arms, const PositioningFn &cost,
@@ -321,13 +298,13 @@ class ClookScheduler : public IoScheduler
 
     Choice
     selectIndexed(const std::vector<ArmView> &arms,
-                  const PositioningFn &cost, sim::Tick now,
+                  const PositioningFn &cost, sim::Tick /*now*/,
                   CylinderIndex &index) override
     {
         const std::uint32_t sweep_before = sweep_;
         IndexedCandidate pick;
         if (!index.firstAtOrAbove(sweep_, pick)) {
-            const bool any = index.lowestCylinder(pick);
+            const bool any = index.firstAtOrAbove(0, pick);
             sim::simAssert(any, "clook: empty window");
         }
         sweep_ = pick.view.cylinder;
@@ -351,15 +328,6 @@ class ClookScheduler : public IoScheduler
         return got;
     }
 
-    std::uint64_t
-    candidatesExamined(std::size_t pending,
-                       std::size_t arms) const override
-    {
-        // One sweep over the window's cylinders, then one priced arm
-        // per idle arm for the request the sweep picked.
-        return pending + arms;
-    }
-
   private:
     std::uint32_t sweep_ = 0;
     std::vector<std::uint32_t> armOrder_;
@@ -372,12 +340,6 @@ class SptfScheduler : public IoScheduler
     explicit SptfScheduler(double aging_weight = 0.0)
         : agingWeight_(aging_weight)
     {
-    }
-
-    std::string
-    name() const override
-    {
-        return agingWeight_ > 0.0 ? "sptf-aged" : "sptf";
     }
 
     Choice
@@ -461,18 +423,11 @@ class SptfScheduler : public IoScheduler
             index.materializeWindow(windowScratch_);
             const Choice want = pickSptf(windowScratch_, arms, cost,
                                          now, agingWeight_);
-            verify::onSchedChoice(name().c_str(), got.slot, got.arm,
-                                  want.slot, want.arm);
+            verify::onSchedChoice(
+                agingWeight_ > 0.0 ? "sptf-aged" : "sptf", got.slot,
+                got.arm, want.slot, want.arm);
         }
         return got;
-    }
-
-    std::uint64_t
-    candidatesExamined(std::size_t pending,
-                       std::size_t arms) const override
-    {
-        // Joint SPTF prices the full (request, arm) cross product.
-        return static_cast<std::uint64_t>(pending) * arms;
     }
 
   private:

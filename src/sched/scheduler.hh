@@ -114,13 +114,11 @@ class CylinderIndex
 
     /**
      * C-LOOK support: the (cylinder, order)-least window request with
-     * cylinder >= @p cylinder. @return false when none qualifies.
+     * cylinder >= @p cylinder (0 finds the lowest, for the sweep
+     * wrap). @return false when none qualifies.
      */
     virtual bool firstAtOrAbove(std::uint32_t cylinder,
                                 IndexedCandidate &out) = 0;
-
-    /** The (cylinder, order)-least window request (sweep wrap). */
-    virtual bool lowestCylinder(IndexedCandidate &out) = 0;
 
     /** The window in FIFO order (cross-checks, fallback paths). */
     virtual void
@@ -164,9 +162,6 @@ class IoScheduler
   public:
     virtual ~IoScheduler() = default;
 
-    /** Policy display name. */
-    virtual std::string name() const = 0;
-
     /**
      * Choose a (request, arm) pair.
      *
@@ -192,19 +187,15 @@ class IoScheduler
                                  sim::Tick now, CylinderIndex &index);
 
     /**
-     * How many (request, arm) candidates one *exhaustive* select()
-     * call over a window of @p pending requests and @p arms idle arms
-     * examines. Joint policies (SPTF) price every pair; the
-     * single-axis baselines scan the window once and then price only
-     * the chosen request's arms. An indexed selection accounts the
-     * same nominal total, split into priced + pruned (lastWork()), so
-     * telemetry's sched.candidates_seen stays comparable.
+     * Work accounting for the most recent select()/selectIndexed();
+     * the drive adds it to its own DriveStats after each selection.
+     * An exhaustive select() prices its policy's whole scan: FCFS and
+     * C-LOOK scan the window once and then price the chosen
+     * request's arms (pending + arms), SSTF and SPTF the full
+     * (request, arm) cross product. An indexed selection splits the
+     * same nominal total into priced + pruned, so telemetry's
+     * sched.candidates_seen stays comparable.
      */
-    virtual std::uint64_t candidatesExamined(std::size_t pending,
-                                             std::size_t arms) const = 0;
-
-    /** Work accounting for the most recent select()/selectIndexed();
-     *  the drive adds it to its own DriveStats after each selection. */
     SelectWork lastWork() const { return work_; }
 
   protected:

@@ -1,12 +1,11 @@
 #include "serve/service_loop.hh"
 
 #include <algorithm>
-#include <memory>
 #include <ostream>
 #include <utility>
 
 #include "array/storage_array.hh"
-#include "core/csv_export.hh"
+#include "core/run.hh"
 #include "exec/fork_join.hh"
 #include "serve/think_wheel.hh"
 #include "sim/event_queue.hh"
@@ -15,7 +14,6 @@
 #include "stats/sampler.hh"
 #include "stats/table.hh"
 #include "telemetry/registry.hh"
-#include "verify/verify.hh"
 
 namespace idp {
 namespace serve {
@@ -416,38 +414,27 @@ runService(const core::SystemConfig &config, const ServeParams &params)
 {
     validateParams(params);
 
-    // Same invariant-checking policy as the batch drivers: install
-    // unless the config disables it or one is already active.
-    std::unique_ptr<verify::InvariantChecker> checker;
-    std::unique_ptr<verify::VerifyScope> verify_scope;
-    if (verify::kCompiledIn && config.checkInvariants &&
-        verify::activeChecker() == nullptr) {
-        checker = std::make_unique<verify::InvariantChecker>();
-        verify_scope =
-            std::make_unique<verify::VerifyScope>(checker.get());
-    }
-
     // The registry goes up before the array so the modules expose
     // their counts to this run's registry.
     telemetry::Registry registry;
     telemetry::RegistryScope registry_scope(&registry);
 
-    sim::Simulator simul;
     sim::Rng rng(params.seed);
     const workload::RateModulation mod(params.modulation);
 
     Ctx ctx;
     ctx.p = &params;
-    ctx.simul = &simul;
     ctx.rng = &rng;
     ctx.registry = &registry;
     ctx.mod = &mod;
 
-    array::StorageArray arr(
-        simul, config.array,
-        [&ctx](const workload::IoRequest &req, sim::Tick done) {
-            onLogicalComplete(ctx, req, done);
-        });
+    core::Run run(config,
+                  [&ctx](const workload::IoRequest &req, sim::Tick done) {
+                      onLogicalComplete(ctx, req, done);
+                  });
+    sim::Simulator &simul = run.sim();
+    array::StorageArray &arr = run.array();
+    ctx.simul = &simul;
     ctx.arr = &arr;
     arr.reserveStatsCapacity();
 
@@ -554,15 +541,13 @@ runService(const core::SystemConfig &config, const ServeParams &params)
     }
     simul.schedule(ctx.endTick, [cp] { stopServing(*cp); });
 
-    simul.run();
-    if (checker)
-        checker->finalize();
+    run.drain();
 
     ServeResult result;
     result.system = config.name;
     result.tenants = params.tenants;
     result.totals = ctx.totals;
-    result.simSeconds = sim::ticksToSeconds(simul.now());
+    result.simSeconds = sim::ticksToSeconds(run.endTick());
     window.quantiles(result.p50Ms, result.p99Ms);
     std::vector<double> steady;
     steady.reserve(ctx.snapshots.size());
@@ -621,19 +606,6 @@ writeServeSnapshotsCsv(std::ostream &os,
                << stats::fmt(s.loadFactor, 4) << '\n';
         }
     }
-}
-
-void
-writeServeMetricsCsv(std::ostream &os, const ServeResult &result)
-{
-    std::vector<
-        std::pair<std::string, std::vector<telemetry::MetricSample>>>
-        series;
-    for (const ServeSnapshot &s : result.snapshots)
-        if (!s.metricDelta.empty())
-            series.emplace_back(stats::fmt(s.simSeconds, 3),
-                                s.metricDelta);
-    core::writeLabeledMetricsCsv(os, "sim_s", series);
 }
 
 } // namespace serve

@@ -201,10 +201,6 @@ runServePoints(const std::vector<ServePoint> &points, unsigned threads);
 void writeServeSnapshotsCsv(std::ostream &os,
                             const std::vector<ServeResult> &results);
 
-/** Write captured registry deltas in long form (snapshot time as the
- *  label column); runs without captured deltas contribute nothing. */
-void writeServeMetricsCsv(std::ostream &os, const ServeResult &result);
-
 } // namespace serve
 } // namespace idp
 

@@ -150,6 +150,8 @@ class InvariantChecker
         return violations_;
     }
 
+    FailMode mode() const { return mode_; }
+
     /** Hook invocations observed (cheap liveness probe for tests). */
     std::uint64_t observations() const
     {

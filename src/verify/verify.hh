@@ -10,8 +10,8 @@
  * disabled run is one thread-local load and branch per hook, bounded
  * by bench/micro_simcore.
  *
- * Runtime control is per run: core::runTrace, core::runClosedLoop and
- * serve::runService install an InvariantChecker for the duration of a
+ * Runtime control is per run: core::Run, which every driver builds
+ * its run with, installs an InvariantChecker for the duration of a
  * run unless SystemConfig::checkInvariants is off (mains pass
  * IDP_VERIFY), and the hooks see it through the thread-local current.
  * Tests install their own checker (often in Record mode) through

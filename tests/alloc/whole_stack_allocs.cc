@@ -175,25 +175,18 @@ TEST(WholeStackAllocs, Raid1BusFailAndRebuild)
     params.useBus = true;
 
     auto run = [&](std::uint64_t requests) {
-        // The trace covers whole stripe rows of the logical space.
-        std::uint64_t space = 0;
-        {
-            sim::Simulator probe_sim;
-            array::StorageArray probe(probe_sim, params);
-            const std::uint64_t row =
-                std::uint64_t{params.stripeSectors} * (params.disks / 2);
-            space = probe.logicalSectors() / row * row;
-        }
-        const workload::Trace trace =
-            syntheticTrace(requests, 5.0, 0.6, space);
         verify::InvariantChecker checker(verify::FailMode::Record);
         verify::VerifyScope scope(&checker);
         Measured m;
         m.requests = requests;
-        const std::uint64_t a0 = benchjson::allocCount();
+        std::uint64_t a0 = 0;
         {
             sim::Simulator simul;
             array::StorageArray arr(simul, params);
+            // The trace covers the whole logical space.
+            const workload::Trace trace =
+                syntheticTrace(requests, 5.0, 0.6, arr.logicalSectors());
+            a0 = benchjson::allocCount();
             // Member 0 fails early and rebuilds onto its spare while
             // foreground traffic runs; both runs rebuild identically.
             arr.scheduleFailDisk(0, sim::msToTicks(500.0));

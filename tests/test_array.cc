@@ -11,6 +11,7 @@
 #include "rig.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
+#include "verify/verify.hh"
 
 namespace {
 
@@ -27,6 +28,17 @@ smallDrive()
 }
 
 using Harness = test::ArrayRig;
+
+/** A striped layout's addressable capacity: whole stripe rows over
+ *  @p data data members, plus the partial last row's first r sectors
+ *  (r = member sectors mod stripe). */
+std::uint64_t
+stripedCapacity(std::uint64_t member, std::uint64_t stripe,
+                std::uint64_t data)
+{
+    const std::uint64_t r = member % stripe;
+    return (member - r) * data + r;
+}
 
 IoRequest
 makeReq(std::uint64_t id, std::uint32_t device, geom::Lba lba,
@@ -182,7 +194,8 @@ TEST(ArrayRaid0, LogicalCapacityIsSum)
     p.drive = smallDrive();
     Harness h(p);
     EXPECT_EQ(h.arr.logicalSectors(),
-              4 * h.arr.diskAt(0).geometry().totalSectors());
+              stripedCapacity(h.arr.diskAt(0).geometry().totalSectors(),
+                              p.stripeSectors, 4));
 }
 
 TEST(ArrayRaid1, WritesGoToBothReplicas)
@@ -236,7 +249,19 @@ TEST(ArrayRaid1, HalfCapacity)
     p.drive = smallDrive();
     Harness h(p);
     EXPECT_EQ(h.arr.logicalSectors(),
-              2 * h.arr.diskAt(0).geometry().totalSectors());
+              stripedCapacity(h.arr.diskAt(0).geometry().totalSectors(),
+                              p.stripeSectors, 2));
+}
+
+TEST(ArrayRaid1, SinglePairKeepsFullMemberCapacity)
+{
+    ArrayParams p;
+    p.layout = Layout::Raid1;
+    p.disks = 2;
+    p.drive = smallDrive();
+    Harness h(p);
+    EXPECT_EQ(h.arr.logicalSectors(),
+              h.arr.diskAt(0).geometry().totalSectors());
 }
 
 TEST(ArrayRaid5, SmallWriteIsReadModifyWrite)
@@ -301,7 +326,38 @@ TEST(ArrayRaid5, CapacityExcludesParity)
     p.drive = smallDrive();
     Harness h(p);
     EXPECT_EQ(h.arr.logicalSectors(),
-              4 * h.arr.diskAt(0).geometry().totalSectors());
+              stripedCapacity(h.arr.diskAt(0).geometry().totalSectors(),
+                              p.stripeSectors, 4));
+}
+
+TEST(ArrayStriped, LastLogicalSectorIsAddressable)
+{
+    // The drive's sector count is not a stripe multiple, so the last
+    // stripe row is partial. A request ending at logicalSectors()
+    // must land inside its members: no clamp, no checker violation.
+    for (const Layout layout :
+         {Layout::Raid0, Layout::Raid1, Layout::Raid5}) {
+        ArrayParams p;
+        p.layout = layout;
+        p.disks = 4;
+        p.drive = smallDrive();
+        verify::InvariantChecker checker(verify::FailMode::Record);
+        verify::VerifyScope scope(&checker);
+        Harness h(p);
+        ASSERT_NE(h.arr.diskAt(0).geometry().totalSectors() %
+                      p.stripeSectors,
+                  0u);
+        const std::uint64_t end = h.arr.logicalSectors();
+        h.submitAt(0, makeReq(1, 0, end - 8, 8, true));
+        h.submitAt(0, makeReq(2, 0, end - 8, 8, false));
+        h.simul.run();
+        checker.finalize();
+        EXPECT_EQ(h.completions, 2u);
+        EXPECT_EQ(h.arr.stats().subClamped, 0u)
+            << static_cast<int>(layout);
+        EXPECT_TRUE(checker.violations().empty())
+            << checker.violations().front();
+    }
 }
 
 TEST(ArrayPower, AggregatesAcrossDisks)

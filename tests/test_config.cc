@@ -218,6 +218,46 @@ TEST(SimConfig, MalformedSeekCurveFatal)
                  "dist:ms");
 }
 
+TEST(SimConfig, BadDriveValuesExitNamingTheKey)
+{
+    // Every value goes through the environment table's kind and
+    // domain check: a bad one exits 1 naming [section] key and the
+    // accepted form, instead of throwing, wrapping or panicking later.
+    auto drive = [](const std::string &line) {
+        config::driveFromIni(IniFile::parseString("[drive]\n" + line),
+                             disk::barracudaEs750());
+    };
+    EXPECT_EXIT(drive("seek_curve = 10:abc"), testing::ExitedWithCode(1),
+                "\\[drive\\] seek_curve: expected dist:ms pairs.*"
+                "ms a finite number >= 0.*10:abc");
+    EXPECT_EXIT(drive("seek_curve = x:1"), testing::ExitedWithCode(1),
+                "\\[drive\\] seek_curve: expected dist:ms pairs, dist "
+                "a whole number from 1 to 4294967295.*x:1");
+    EXPECT_EXIT(drive("rpm = -5"), testing::ExitedWithCode(1),
+                "\\[drive\\] rpm: expected a whole number from 1 to "
+                "4294967295, got \"-5\"");
+    EXPECT_EXIT(drive("rpm = 0"), testing::ExitedWithCode(1),
+                "\\[drive\\] rpm: expected a whole number from 1 to "
+                "4294967295, got \"0\"");
+}
+
+TEST(SimConfig, BadSystemAndWorkloadValuesExitNamingTheKey)
+{
+    auto experiment = [](const std::string &text) {
+        config::experimentFromIni(IniFile::parseString(text));
+    };
+    EXPECT_EXIT(experiment("[workload]\nread_fraction = 1.5\n"),
+                testing::ExitedWithCode(1),
+                "\\[workload\\] read_fraction: expected a finite "
+                "number in \\[0, 1\\]");
+    EXPECT_EXIT(experiment("[workload]\nrequests = 1e3\n"),
+                testing::ExitedWithCode(1),
+                "\\[workload\\] requests: expected a whole number");
+    EXPECT_EXIT(experiment("[system]\nstripe_kb = 0\n"),
+                testing::ExitedWithCode(1),
+                "\\[system\\] stripe_kb: expected a finite number > 0");
+}
+
 TEST(ShippedConfigs, AllParseAndAssemble)
 {
     // Guard against drift between the code and the configs/ files

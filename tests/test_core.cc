@@ -1,13 +1,16 @@
 /**
  * @file
- * Core experiment-layer tests: system builders, the trace runner, and
- * the qualitative paper behaviours at reduced scale.
+ * Core experiment-layer tests: system builders, the trace runner, the
+ * run lifecycle, and the qualitative paper behaviours at reduced
+ * scale.
  */
 
 #include <gtest/gtest.h>
 
 #include "config/env.hh"
 #include "core/experiment.hh"
+#include "core/run.hh"
+#include "telemetry/telemetry.hh"
 #include "workload/synthetic.hh"
 
 namespace {
@@ -185,6 +188,46 @@ TEST(BenchScale, FloorsAtMinimum)
     EXPECT_GE(config::resolveEnv({"IDP_SCALE=0.000001"})
                   .benchRequests(100000),
               1000u);
+}
+
+TEST(RunLifecycle, ModeFollowsTheConfig)
+{
+    SystemConfig config =
+        makeRaid0System("r0", disk::barracudaEs750(), 4);
+    config.pdesWorkers = 2;
+    config.tracing.enabled = true;
+    workload::IoRequest req;
+    req.id = 1;
+    req.lba = 4096;
+    req.sectors = 64;
+    {
+        // Open loop: the PDES engine, and the run's own tracer and
+        // registry when the build keeps telemetry.
+        core::Run run(config);
+        EXPECT_NE(run.pdes(), nullptr);
+        EXPECT_EQ(telemetry::activeRegistry() != nullptr,
+                  telemetry::kCompiledIn);
+        run.sim().schedule(0, [&run, req] { run.array().submit(req); });
+        run.drain();
+        EXPECT_EQ(run.metrics().empty(), !telemetry::kCompiledIn);
+        EXPECT_EQ(run.trace() != nullptr, telemetry::kCompiledIn);
+        EXPECT_EQ(run.array().stats().logicalCompletions, 1u);
+    }
+    EXPECT_EQ(telemetry::activeRegistry(), nullptr);
+    {
+        // A completion callback makes the run closed loop: serial and
+        // untraced, whatever the config asks.
+        std::uint64_t seen = 0;
+        core::Run run(config, [&seen](const workload::IoRequest &,
+                                      sim::Tick) { ++seen; });
+        EXPECT_EQ(run.pdes(), nullptr);
+        EXPECT_EQ(telemetry::activeRegistry(), nullptr);
+        run.sim().schedule(0, [&run, req] { run.array().submit(req); });
+        run.drain();
+        EXPECT_EQ(seen, 1u);
+        EXPECT_TRUE(run.metrics().empty());
+        EXPECT_EQ(run.trace(), nullptr);
+    }
 }
 
 } // namespace

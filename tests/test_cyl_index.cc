@@ -12,8 +12,8 @@
  *    nondecreasing band min-distance order, and every band's
  *    min-distance really lower-bounds its members' distances;
  *  - minDistance() matches the closed-form bucket-edge distance;
- *  - firstOccupiedAtOrAbove()/firstOccupied() agree with the
- *    reference's notion of the lowest qualifying occupied bucket.
+ *  - firstOccupiedAtOrAbove() agrees with the reference's notion of
+ *    the lowest qualifying occupied bucket.
  */
 
 #include <gtest/gtest.h>
@@ -164,7 +164,7 @@ runModelCheck(std::uint32_t cylinders, std::size_t slots,
                 rng() % CylinderBuckets::kBuckets;
             ASSERT_EQ(m.index.firstOccupiedAtOrAbove(b),
                       m.refFirstOccupiedAtOrAbove(b));
-            ASSERT_EQ(m.index.firstOccupied(),
+            ASSERT_EQ(m.index.firstOccupiedAtOrAbove(0),
                       m.refFirstOccupiedAtOrAbove(0));
         }
     }
@@ -173,7 +173,7 @@ runModelCheck(std::uint32_t cylinders, std::size_t slots,
         m.remove(m.present.size() - 1);
     m.checkScan(cylDist(rng));
     ASSERT_TRUE(m.index.empty());
-    ASSERT_EQ(m.index.firstOccupied(), CylinderBuckets::kNil);
+    ASSERT_EQ(m.index.firstOccupiedAtOrAbove(0), CylinderBuckets::kNil);
 }
 
 TEST(CylIndex, RandomizedModelCheckWideGeometry)
@@ -202,7 +202,7 @@ TEST(CylIndex, SingleBucketEdgeCases)
     EXPECT_EQ(idx.size(), 2u);
     EXPECT_TRUE(idx.contains(2));
     EXPECT_FALSE(idx.contains(1));
-    EXPECT_EQ(idx.firstOccupied(), 0u);
+    EXPECT_EQ(idx.firstOccupiedAtOrAbove(0), 0u);
 
     auto scan = idx.beginScan(0);
     std::uint32_t bucket = 99, dist = 99;
@@ -214,7 +214,7 @@ TEST(CylIndex, SingleBucketEdgeCases)
     idx.remove(0);
     idx.remove(2);
     EXPECT_TRUE(idx.empty());
-    EXPECT_EQ(idx.firstOccupied(), CylinderBuckets::kNil);
+    EXPECT_EQ(idx.firstOccupiedAtOrAbove(0), CylinderBuckets::kNil);
 }
 
 } // namespace

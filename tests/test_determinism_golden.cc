@@ -32,8 +32,9 @@
 #include "config/env.hh"
 #include "core/csv_export.hh"
 #include "core/experiment.hh"
-#include "exec/pdes.hh"
+#include "core/run.hh"
 #include "stats/table.hh"
+#include "verify/verify.hh"
 #include "workload/synthetic.hh"
 
 namespace {
@@ -240,39 +241,31 @@ INSTANTIATE_TEST_SUITE_P(Matrix, PdesGolden,
 // Failure-lifecycle goldens: degraded RAID-5 (a member fails mid-run
 // with work in flight) and rebuilding RAID-1 (spare reconstruction
 // streams under foreground traffic). runTrace has no failure hook, so
-// these drive a Simulator + StorageArray directly and pin a summary
-// CSV of the response/accounting numbers. With pdes_workers > 0 the
-// same scenario runs under the dynamic-horizon engine: the mid-run
-// failure goes through scheduleFailDisk (a horizon barrier) and the
-// bytes must not move.
+// these set a core::Run up directly and pin a summary CSV of the
+// response/accounting numbers. With pdes_workers > 0 the same
+// scenario runs under the dynamic-horizon engine: the mid-run failure
+// goes through scheduleFailDisk (a horizon barrier) and the bytes
+// must not move.
 // ---------------------------------------------------------------
 
 std::string
 runFailureScenario(const std::string &name, int pdes_workers = 0)
 {
     const bool rebuilding = name == "rebuild_raid1";
-    array::ArrayParams params;
-    params.drive = disk::enterpriseDrive(1.0, 10000, 2);
+    core::SystemConfig system;
+    system.array.drive = disk::enterpriseDrive(1.0, 10000, 2);
     if (rebuilding) {
-        params.layout = array::Layout::Raid1;
-        params.disks = 2;
+        system.array.layout = array::Layout::Raid1;
+        system.array.disks = 2;
     } else {
-        params.layout = array::Layout::Raid5;
-        params.disks = 4;
-        params.stripeSectors = 16;
+        system.array.layout = array::Layout::Raid5;
+        system.array.disks = 4;
+        system.array.stripeSectors = 16;
     }
+    system.pdesWorkers = pdes_workers;
 
-    std::unique_ptr<exec::PdesRun> prun;
-    if (pdes_workers > 0)
-        prun = std::make_unique<exec::PdesRun>(
-            params, static_cast<unsigned>(pdes_workers),
-            telemetry::TraceOptions{});
-    sim::Simulator serial_sim;
-    sim::Simulator &simul = prun ? prun->coordSim() : serial_sim;
-    array::StorageArray arr(simul, params, nullptr, prun.get());
-    if (prun)
-        prun->setArray(&arr);
-
+    core::Run run(system);
+    array::StorageArray &arr = run.array();
     workload::SyntheticParams wp;
     wp.requests = 2000;
     wp.meanInterArrivalMs = 2.0;
@@ -280,25 +273,19 @@ runFailureScenario(const std::string &name, int pdes_workers = 0)
     wp.seed = 0xFA11;
     const auto trace = workload::generateSynthetic(wp);
     for (const auto &req : trace)
-        simul.schedule(req.arrival, [&arr, req] { arr.submit(req); });
+        run.sim().schedule(req.arrival, [&arr, req] { arr.submit(req); });
 
     if (rebuilding) {
-        // Before run(): every calendar still sits at tick 0, so the
+        // Before drain(): every calendar still sits at tick 0, so the
         // direct calls are serially synchronized in both modes.
         arr.failDisk(0);
         array::RebuildParams rp;
         rp.chunkSectors = 65536;
         arr.startRebuild(0, rp);
-    } else if (prun) {
-        arr.scheduleFailDisk(1, 50 * sim::kTicksPerMs);
     } else {
-        simul.schedule(50 * sim::kTicksPerMs,
-                       [&arr] { arr.failDisk(1); });
+        arr.scheduleFailDisk(1, 50 * sim::kTicksPerMs);
     }
-    if (prun)
-        prun->run();
-    else
-        simul.run();
+    run.drain();
     arr.sealStats();
 
     const array::ArrayStats &st = arr.stats();
@@ -349,6 +336,32 @@ TEST_P(FailureGolden, ScenarioMatchesGoldenFile)
         << "failure-lifecycle output drifted from " << path
         << "\nIf this change is intentional, refresh with "
            "IDP_UPDATE_GOLDEN=1 and review the diff.";
+}
+
+TEST_P(FailureGolden, RecordCheckerSeesNoViolationAtZeroAndFourWorkers)
+{
+    if (!verify::kCompiledIn)
+        GTEST_SKIP() << "checker compiled out";
+    const std::string name = GetParam();
+    std::ifstream is(std::string(IDP_SOURCE_DIR) +
+                     "/tests/golden/determinism_" + name + ".csv");
+    ASSERT_TRUE(is) << "missing golden file for " << name;
+    std::stringstream golden;
+    golden << is.rdbuf();
+    for (int workers : {0, 4}) {
+        // The outer checker takes precedence over the run's own.
+        verify::InvariantChecker checker(verify::FailMode::Record);
+        std::string measured;
+        {
+            verify::VerifyScope scope(&checker);
+            measured = runFailureScenario(name, workers);
+        }
+        checker.finalize();
+        EXPECT_TRUE(checker.violations().empty())
+            << workers << " workers: " << checker.violations().front();
+        EXPECT_GT(checker.observations(), 0u) << workers << " workers";
+        EXPECT_EQ(golden.str(), measured) << workers << " workers";
+    }
 }
 
 TEST_P(FailureGolden, ScenarioIsRunToRunStable)

@@ -168,12 +168,14 @@ TEST(SptfAged, OldRequestEventuallyWins)
 
 TEST(Factory, NamesMatch)
 {
-    EXPECT_EQ(makeScheduler({Policy::Fcfs, 0.0})->name(), "fcfs");
-    EXPECT_EQ(makeScheduler({Policy::Sstf, 0.0})->name(), "sstf");
-    EXPECT_EQ(makeScheduler({Policy::Clook, 0.0})->name(), "clook");
-    EXPECT_EQ(makeScheduler({Policy::Sptf, 0.0})->name(), "sptf");
-    EXPECT_EQ(makeScheduler({Policy::SptfAged, 0.1})->name(),
-              "sptf-aged");
+    for (Policy p : {Policy::Fcfs, Policy::Sstf, Policy::Clook,
+                     Policy::Sptf, Policy::SptfAged})
+        EXPECT_EQ(policyFromString(policyToString(p)), p);
+    EXPECT_EQ(policyToString(Policy::Fcfs), "fcfs");
+    EXPECT_EQ(policyToString(Policy::Sstf), "sstf");
+    EXPECT_EQ(policyToString(Policy::Clook), "clook");
+    EXPECT_EQ(policyToString(Policy::Sptf), "sptf");
+    EXPECT_EQ(policyToString(Policy::SptfAged), "sptf-aged");
 }
 
 TEST(AllPolicies, SingleCandidateAlwaysChosen)
@@ -189,26 +191,35 @@ TEST(AllPolicies, SingleCandidateAlwaysChosen)
     }
 }
 
+/** The work one exhaustive select() over @p pending requests and
+ *  @p arms idle arms prices: single-request policies scan the window
+ *  once and then price one arm per idle arm (pending + arms); joint
+ *  policies compare the full (request, arm) cross product. */
+std::uint64_t
+nominalWork(Policy p, std::size_t pending, std::size_t arms)
+{
+    if (p == Policy::Fcfs || p == Policy::Clook)
+        return pending + arms;
+    return static_cast<std::uint64_t>(pending) * arms;
+}
+
 TEST(CandidatesExamined, MatchesEachPolicyScanShape)
 {
-    // Single-request policies scan the window once and then price one
-    // arm per idle arm (pending + arms); joint policies compare the
-    // full (request, arm) cross product (pending × arms).
-    EXPECT_EQ(makeScheduler({Policy::Fcfs, 0.0})
-                  ->candidatesExamined(6, 4),
-              10u);
-    EXPECT_EQ(makeScheduler({Policy::Clook, 0.0})
-                  ->candidatesExamined(6, 4),
-              10u);
-    EXPECT_EQ(makeScheduler({Policy::Sstf, 0.0})
-                  ->candidatesExamined(6, 4),
-              24u);
-    EXPECT_EQ(makeScheduler({Policy::Sptf, 0.0})
-                  ->candidatesExamined(6, 4),
-              24u);
-    EXPECT_EQ(makeScheduler({Policy::SptfAged, 0.5})
-                  ->candidatesExamined(6, 4),
-              24u);
+    std::vector<PendingView> pending;
+    for (std::uint32_t i = 0; i < 6; ++i)
+        pending.push_back(pv(i, 100 * i + 10, i));
+    std::vector<ArmView> arms;
+    for (std::uint32_t a = 0; a < 4; ++a)
+        arms.push_back({a, 150 * a, 0.0});
+    const std::uint64_t want[] = {10, 24, 10, 24, 24};
+    std::size_t k = 0;
+    for (Policy p : {Policy::Fcfs, Policy::Sstf, Policy::Clook,
+                     Policy::Sptf, Policy::SptfAged}) {
+        auto s = makeScheduler({p, 0.5});
+        s->select(pending, arms, cylinderOracle, 10);
+        EXPECT_EQ(s->lastWork().priced, want[k]) << policyToString(p);
+        ++k;
+    }
 }
 
 /**
@@ -296,12 +307,6 @@ class VectorIndex : public CylinderIndex
         return have;
     }
 
-    bool
-    lowestCylinder(IndexedCandidate &out) override
-    {
-        return firstAtOrAbove(0, out);
-    }
-
     void
     materializeWindow(std::vector<PendingView> &out) const override
     {
@@ -342,8 +347,7 @@ TEST(LastWork, ExhaustiveSelectReportsNominalWork)
         auto s = makeScheduler({p, 0.1});
         s->select(pending, arms, cylinderOracle, 10);
         const SelectWork w = s->lastWork();
-        EXPECT_EQ(w.priced, s->candidatesExamined(3, 2))
-            << policyToString(p);
+        EXPECT_EQ(w.priced, nominalWork(p, 3, 2)) << policyToString(p);
         EXPECT_EQ(w.pruned, 0u) << policyToString(p);
     }
 }
@@ -387,17 +391,16 @@ TEST(SelectIndexed, MatchesSelectAcrossPoliciesAndWindows)
 
             // Accounting: priced + pruned covers the nominal scan.
             // (C-LOOK's visited() can exceed the nominal count on a
-            // sweep wrap, where firstAtOrAbove scans dry before
-            // lowestCylinder re-examines; the split still holds.)
+            // sweep wrap, where firstAtOrAbove scans dry before the
+            // wrap's firstAtOrAbove(0) re-examines; the split still
+            // holds.)
             const SelectWork w = pruned->lastWork();
             EXPECT_GE(w.priced, 1u)
                 << policyToString(p) << " round " << round;
             if (p != Policy::Clook) {
-                EXPECT_EQ(w.priced + w.pruned,
-                          pruned->candidatesExamined(n, na))
+                EXPECT_EQ(w.priced + w.pruned, nominalWork(p, n, na))
                     << policyToString(p) << " round " << round;
-                EXPECT_LE(w.priced,
-                          pruned->candidatesExamined(n, na));
+                EXPECT_LE(w.priced, nominalWork(p, n, na));
             }
         }
     }

@@ -11,6 +11,7 @@
 #include "config/env.hh"
 #include "core/closed_loop.hh"
 #include "core/experiment.hh"
+#include "core/run.hh"
 #include "verify/verify.hh"
 #include "workload/synthetic.hh"
 
@@ -198,9 +199,66 @@ TEST(VerifyEnv, GateParsesIdpVerify)
 
 TEST(VerifyEnv, SystemConfigChecksByDefault)
 {
-    // runTrace, runClosedLoop and runService install a checker unless
-    // the config turns it off: on by default whenever compiled in.
+    // core::Run — under runTrace, runClosedLoop, runService and the
+    // failure benches — installs a checker unless the config turns it
+    // off: on by default whenever compiled in.
     EXPECT_EQ(core::SystemConfig{}.checkInvariants, verify::kCompiledIn);
+}
+
+/** One small read through @p run, drained. */
+void
+drainOneRead(core::Run &run)
+{
+    workload::IoRequest req;
+    req.id = 1;
+    req.lba = 4096;
+    req.sectors = 8;
+    run.sim().schedule(0, [&run, req] { run.array().submit(req); });
+    run.drain();
+}
+
+TEST(RunLifecycle, InstallsAPanicCheckerWhenNoneIsCurrent)
+{
+    if (!verify::kCompiledIn)
+        GTEST_SKIP() << "checker compiled out";
+    {
+        core::Run run(
+            core::makeRaid0System("t", disk::barracudaEs750(), 1));
+        const InvariantChecker *vc = InvariantChecker::current();
+        ASSERT_NE(vc, nullptr);
+        EXPECT_EQ(vc->mode(), FailMode::Panic);
+        drainOneRead(run);
+        EXPECT_GT(vc->observations(), 0u);
+    }
+    EXPECT_EQ(InvariantChecker::current(), nullptr);
+}
+
+TEST(RunLifecycle, InstallsNoCheckerWhenCheckingIsOff)
+{
+    core::SystemConfig config =
+        core::makeRaid0System("t", disk::barracudaEs750(), 1);
+    config.checkInvariants = false;
+    core::Run run(config);
+    EXPECT_EQ(InvariantChecker::current(), nullptr);
+    drainOneRead(run);
+}
+
+TEST(RunLifecycle, LeavesAnOuterCheckerInPlace)
+{
+    if (!verify::kCompiledIn)
+        GTEST_SKIP() << "checker compiled out";
+    InvariantChecker outer(FailMode::Record);
+    VerifyScope scope(&outer);
+    {
+        core::Run run(
+            core::makeRaid0System("t", disk::barracudaEs750(), 4));
+        EXPECT_EQ(InvariantChecker::current(), &outer);
+        drainOneRead(run);
+    }
+    EXPECT_EQ(InvariantChecker::current(), &outer);
+    outer.finalize();
+    EXPECT_TRUE(outer.violations().empty()) << outer.violations().front();
+    EXPECT_GT(outer.observations(), 0u);
 }
 
 // ---------------------------------------------------------------
