@@ -22,8 +22,7 @@
 #include <iostream>
 
 #include "config/env.hh"
-#include "disk/disk_drive.hh"
-#include "sim/event_queue.hh"
+#include "core/run.hh"
 #include "sim/rng.hh"
 #include "stats/sampler.hh"
 #include "stats/table.hh"
@@ -46,20 +45,26 @@ main()
                      "BG IOPS achieved", "BG MB/s"});
 
     for (std::uint32_t arms : {1u, 2u, 4u}) {
-        sim::Simulator simul;
+        // One drive as a one-member array: core::Run sets the run up
+        // (invariant checker per IDP_VERIFY, drive and array knobs),
+        // and a single-drive array is bit-identical to a standalone
+        // drive.
         disk::DriveSpec spec = disk::barracudaEs750();
         if (arms > 1)
             spec = disk::makeIntraDiskParallel(spec, arms);
-        env.apply(spec);
+        core::SystemConfig system =
+            core::makeRaid0System("freeblock", spec, 1);
+        env.apply(system);
 
         stats::SampleSet fg_resp;
-        disk::DiskDrive drive(
-            simul, spec,
-            [&fg_resp](const workload::IoRequest &req, sim::Tick done,
-                       const disk::ServiceInfo &) {
-                if (!req.background)
-                    fg_resp.add(sim::ticksToMs(done - req.arrival));
-            });
+        core::Run run(system, [&fg_resp](const workload::IoRequest &req,
+                                         sim::Tick done) {
+            if (!req.background)
+                fg_resp.add(sim::ticksToMs(done - req.arrival));
+        });
+        sim::Simulator &simul = run.sim();
+        array::StorageArray &arr = run.array();
+        const disk::DiskDrive &drive = arr.diskAt(0);
 
         sim::Rng rng(0xF8EE + arms);
         const std::uint64_t space =
@@ -75,8 +80,7 @@ main()
             req.lba = rng.uniformInt(space);
             req.sectors = 16;
             req.isRead = rng.chance(0.7);
-            simul.schedule(req.arrival,
-                           [&drive, req] { drive.submit(req); });
+            simul.schedule(req.arrival, [&arr, req] { arr.submit(req); });
         }
         const sim::Tick horizon = sim::msToTicks(clock_ms);
 
@@ -93,7 +97,7 @@ main()
                 req.sectors = 64;
                 req.isRead = true;
                 req.background = true;
-                drive.submit(req);
+                arr.submit(req);
             };
         // Background issue is poll-driven: a periodic pump keeps the
         // scan queue topped up; completions are counted from the
@@ -111,7 +115,7 @@ main()
         simul.schedule(0, pump);
 
         // Count background completions via drive stats at the end.
-        simul.run();
+        run.drain();
         bg_done = drive.stats().backgroundCompletions;
 
         const double secs = sim::ticksToSeconds(horizon);

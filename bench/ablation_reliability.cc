@@ -18,9 +18,8 @@
 #include <iostream>
 
 #include "config/env.hh"
-#include "disk/disk_drive.hh"
+#include "core/run.hh"
 #include "reliability/reliability.hh"
-#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "stats/sampler.hh"
 #include "stats/table.hh"
@@ -50,12 +49,16 @@ main()
     std::cout << '\n';
 
     // --- simulated half ------------------------------------------
+    // One drive as a one-member array, so the run is set up by
+    // core::Run like every other: it runs under the invariant checker
+    // (IDP_VERIFY) and takes the drive and array knobs. A single-drive
+    // array is bit-identical to a standalone drive.
     const std::uint64_t requests =
         std::max<std::uint64_t>(4000, 80000);
-    sim::Simulator simul;
-    disk::DriveSpec spec = disk::makeIntraDiskParallel(
-        disk::barracudaEs750(), 4);
-    env.apply(spec);
+    core::SystemConfig system = core::makeRaid0System(
+        "sa4", disk::makeIntraDiskParallel(disk::barracudaEs750(), 4),
+        1);
+    env.apply(system);
 
     // Four phases; p90 per phase, split by completion time.
     const double inter_ms = 8.0;
@@ -63,19 +66,19 @@ main()
         requests / 4 * sim::msToTicks(inter_ms));
     std::vector<stats::SampleSet> phases(4);
 
-    disk::DiskDrive drive(
-        simul, spec,
-        [&](const workload::IoRequest &req, sim::Tick done,
-            const disk::ServiceInfo &) {
-            std::size_t phase = static_cast<std::size_t>(
-                done / phase_ticks);
-            if (phase > 3)
-                phase = 3;
-            phases[phase].add(sim::ticksToMs(done - req.arrival));
-        });
+    core::Run run(system,
+                  [&](const workload::IoRequest &req, sim::Tick done) {
+                      std::size_t phase = static_cast<std::size_t>(
+                          done / phase_ticks);
+                      if (phase > 3)
+                          phase = 3;
+                      phases[phase].add(
+                          sim::ticksToMs(done - req.arrival));
+                  });
+    array::StorageArray &arr = run.array();
 
     sim::Rng rng(0x5EC8);
-    const std::uint64_t space = drive.geometry().totalSectors() - 64;
+    const std::uint64_t space = arr.logicalSectors() - 64;
     double clock_ms = 0.0;
     for (std::uint64_t i = 0; i < requests; ++i) {
         clock_ms += rng.exponential(inter_ms);
@@ -85,14 +88,14 @@ main()
         req.lba = rng.uniformInt(space);
         req.sectors = 16;
         req.isRead = rng.chance(0.7);
-        simul.schedule(req.arrival,
-                       [&drive, req] { drive.submit(req); });
+        run.sim().schedule(req.arrival,
+                           [&arr, req] { arr.submit(req); });
     }
     // Deconfigure one arm at each phase boundary.
     for (std::uint32_t k = 0; k < 3; ++k)
-        simul.schedule(phase_ticks * (k + 1),
-                       [&drive, k] { drive.failArm(k); });
-    simul.run();
+        run.sim().schedule(phase_ticks * (k + 1),
+                           [&arr, k] { arr.failMemberArm(0, k); });
+    run.drain();
 
     stats::TextTable sim_table(
         "Graceful degradation under arm failures (SA(4), one arm "

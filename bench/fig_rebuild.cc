@@ -121,15 +121,13 @@ mirrorMeanMs(const config::Env &env, core::SystemConfig system,
  * no foreground traffic, allocation counter read between the 25% and
  * 75% chunk landings. Rebuild I/O adds no array response sample, and
  * the drives' sample sets keep moments only, so no buffer grows. The
- * probe runs unchecked: the checker's per-chunk rebuild ledger grows
- * as chunks land, and that is the checker's cost, not the path's.
+ * probe runs under the checker, whose rebuild ledger is O(1).
  */
 std::uint64_t
 rebuildSteadyAllocs(const config::Env &env, core::SystemConfig system,
                     int pdes_workers = 0)
 {
     system.pdesWorkers = pdes_workers;
-    system.checkInvariants = false;
     core::Run run(system);
     array::StorageArray &arr = run.array();
     arr.failDisk(0);

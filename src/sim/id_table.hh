@@ -3,8 +3,8 @@
  * Open-addressing hash table keyed by 64-bit ids.
  *
  * The request path keeps several id ledgers: the array's outstanding
- * joins, and the invariant checker's joins, per-disk outstanding
- * sub-requests and rebuild chunks. Each sees one insert and one erase
+ * joins, and the invariant checker's joins and per-disk outstanding
+ * sub-requests. Each sees one insert and one erase
  * per request, so a node-based hash map costs a heap allocation per
  * request per ledger. IdTable stores its entries by value in one
  * power-of-two slot array instead:

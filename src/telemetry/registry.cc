@@ -8,8 +8,6 @@ namespace telemetry {
 
 namespace {
 
-thread_local Registry *t_current = nullptr;
-
 void
 sortByName(std::vector<MetricSample> &rows)
 {
@@ -142,22 +140,6 @@ void
 Registry::writeCsv(std::ostream &os) const
 {
     writeMetricsCsv(os, snapshot());
-}
-
-Registry *
-Registry::current()
-{
-    return t_current;
-}
-
-RegistryScope::RegistryScope(Registry *registry) : prev_(t_current)
-{
-    t_current = registry;
-}
-
-RegistryScope::~RegistryScope()
-{
-    t_current = prev_;
 }
 
 void

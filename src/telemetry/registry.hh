@@ -136,11 +136,13 @@ class Registry
     void writeCsv(std::ostream &os) const;
 
     /** The registry installed on this thread (null when none). */
-    static Registry *current();
+    static Registry *current() { return current_; }
 
   private:
     friend class RegistryScope;
     friend class CountSource;
+
+    static inline thread_local Registry *current_ = nullptr;
 
     /** Every count by name: live sources plus retired totals. */
     std::map<std::string, std::uint64_t> counts() const;
@@ -165,8 +167,12 @@ class Registry
 class RegistryScope
 {
   public:
-    explicit RegistryScope(Registry *registry);
-    ~RegistryScope();
+    explicit RegistryScope(Registry *registry)
+        : prev_(Registry::current_)
+    {
+        Registry::current_ = registry;
+    }
+    ~RegistryScope() { Registry::current_ = prev_; }
 
     RegistryScope(const RegistryScope &) = delete;
     RegistryScope &operator=(const RegistryScope &) = delete;

@@ -5,12 +5,6 @@
 namespace idp {
 namespace telemetry {
 
-namespace {
-
-thread_local Tracer *t_current = nullptr;
-
-} // namespace
-
 double
 TraceData::meanMs(SpanKind kind) const
 {
@@ -41,22 +35,6 @@ Tracer::finish() const
     data.dropped = ring_.dropped();
     data.phases = phases_;
     return data;
-}
-
-Tracer *
-Tracer::current()
-{
-    return t_current;
-}
-
-TraceScope::TraceScope(Tracer *tracer) : prev_(t_current)
-{
-    t_current = tracer;
-}
-
-TraceScope::~TraceScope()
-{
-    t_current = prev_;
 }
 
 } // namespace telemetry

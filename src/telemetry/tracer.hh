@@ -104,10 +104,12 @@ class Tracer
     const SpanRing &ring() const { return ring_; }
 
     /** The tracer installed on this thread (null when none). */
-    static Tracer *current();
+    static Tracer *current() { return current_; }
 
   private:
     friend class TraceScope;
+
+    static inline thread_local Tracer *current_ = nullptr;
 
     SpanRing ring_;
     std::uint64_t sampleEvery_;
@@ -118,8 +120,11 @@ class Tracer
 class TraceScope
 {
   public:
-    explicit TraceScope(Tracer *tracer);
-    ~TraceScope();
+    explicit TraceScope(Tracer *tracer) : prev_(Tracer::current_)
+    {
+        Tracer::current_ = tracer;
+    }
+    ~TraceScope() { Tracer::current_ = prev_; }
 
     TraceScope(const TraceScope &) = delete;
     TraceScope &operator=(const TraceScope &) = delete;

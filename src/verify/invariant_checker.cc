@@ -7,17 +7,7 @@
 namespace idp {
 namespace verify {
 
-namespace {
-thread_local InvariantChecker *t_current = nullptr;
-} // namespace
-
 InvariantChecker::InvariantChecker(FailMode mode) : mode_(mode) {}
-
-InvariantChecker *
-InvariantChecker::current()
-{
-    return t_current;
-}
 
 void
 InvariantChecker::fail(const std::string &what)
@@ -32,8 +22,8 @@ InvariantChecker::fail(const std::string &what)
 void
 InvariantChecker::reserveDomains(std::uint32_t domains)
 {
-    if (domains > kernelNow_.size())
-        kernelNow_.resize(domains, 0);
+    if (domains > domains_.size())
+        domains_.resize(domains);
 }
 
 void
@@ -43,59 +33,53 @@ InvariantChecker::reserveDisks(std::uint32_t disks)
         disks_.resize(disks);
 }
 
-InvariantChecker::DiskState &
-InvariantChecker::disk(std::uint32_t dev)
+std::uint64_t
+InvariantChecker::observations() const
 {
-    if (dev >= disks_.size())
-        disks_.resize(dev + 1);
-    return disks_[dev];
+    std::uint64_t n = coordObservations_ +
+        schedObservations_.load(std::memory_order_relaxed);
+    for (const DomainClock &d : domains_)
+        n += d.observations;
+    for (const DiskState &d : disks_)
+        n += d.observations;
+    return n;
 }
 
 void
-InvariantChecker::touch(std::uint32_t dev, sim::Tick now)
+InvariantChecker::failKernelTime(std::uint32_t domain, sim::Tick now,
+                                 sim::Tick when, sim::Tick domain_now)
 {
-    DiskState &d = disk(dev);
-    if (now < d.lastSeen) {
-        std::ostringstream os;
-        os << "disk " << dev << ": time ran backwards (" << d.lastSeen
-           << " -> " << now << ")";
-        fail(os.str());
-    }
-    d.lastSeen = now;
-}
-
-void
-InvariantChecker::checkKernelTime(std::uint32_t domain, sim::Tick now,
-                                  sim::Tick when)
-{
-    observations_.fetch_add(1, std::memory_order_relaxed);
     if (when < now) {
         std::ostringstream os;
         os << "event kernel: firing at " << when
            << " with the clock already at " << now;
         fail(os.str());
     }
-    // Serial runs grow the table lazily (single-threaded); PDES runs
-    // pre-size it with reserveDomains before workers start, and each
-    // calendar's domain is written only from the thread running it.
-    if (domain >= kernelNow_.size())
-        kernelNow_.resize(domain + 1, 0);
-    sim::Tick &domain_now = kernelNow_[domain];
     if (when < domain_now) {
         std::ostringstream os;
         os << "event kernel: time ran backwards in domain " << domain
            << " (" << domain_now << " -> " << when << ")";
         fail(os.str());
     }
-    domain_now = when;
 }
 
 void
-InvariantChecker::diskSubmit(std::uint32_t dev, std::uint64_t id,
-                             sim::Tick arrival, sim::Tick now)
+InvariantChecker::failDiskTime(std::uint32_t dev, sim::Tick last_seen,
+                               sim::Tick now)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
-    touch(dev, now);
+    std::ostringstream os;
+    os << "disk " << dev << ": time ran backwards (" << last_seen
+       << " -> " << now << ")";
+    fail(os.str());
+}
+
+void
+InvariantChecker::failSubmit(std::uint32_t dev, std::uint64_t id,
+                             sim::Tick arrival, sim::Tick now,
+                             sim::Tick last_seen)
+{
+    if (now < last_seen)
+        failDiskTime(dev, last_seen, now);
     if (arrival > now) {
         std::ostringstream os;
         os << "disk " << dev << ": request " << id
@@ -103,50 +87,33 @@ InvariantChecker::diskSubmit(std::uint32_t dev, std::uint64_t id,
            << now << ")";
         fail(os.str());
     }
-    DiskState &d = disk(dev);
-    ++d.submits;
-    OutstandingEntry &e = d.outstanding[id];
-    ++e.count;
-    // Completion must be causal vs. the latest submission of this id
-    // (a join id can be legitimately re-submitted by RAID-5 RMW).
-    e.lastSubmit = now;
 }
 
 void
-InvariantChecker::diskComplete(std::uint32_t dev, std::uint64_t id,
-                               sim::Tick done, sim::Tick min_service)
+InvariantChecker::failOverCompletion(std::uint32_t dev, std::uint64_t id)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
-    touch(dev, done);
-    DiskState &d = disk(dev);
-    OutstandingEntry *e = d.outstanding.find(id);
-    if (e == nullptr || e->count == 0) {
-        std::ostringstream os;
-        os << "disk " << dev << ": request " << id
-           << " completed more times than it was submitted";
-        fail(os.str());
-        return;
-    }
-    ++d.completions;
-    if (done < e->lastSubmit + min_service) {
-        std::ostringstream os;
-        os << "disk " << dev << ": request " << id << " completed at "
-           << done << ", before submit + minimum service ("
-           << e->lastSubmit + min_service << ")";
-        fail(os.str());
-    }
-    if (--e->count == 0)
-        d.outstanding.erase(id);
+    std::ostringstream os;
+    os << "disk " << dev << ": request " << id
+       << " completed more times than it was submitted";
+    fail(os.str());
 }
 
 void
-InvariantChecker::checkPositioningBound(std::uint32_t dev,
-                                        sim::Tick lower_bound,
-                                        sim::Tick exact)
+InvariantChecker::failNonCausal(std::uint32_t dev, std::uint64_t id,
+                                sim::Tick done, sim::Tick floor)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
-    if (lower_bound <= exact) [[likely]]
-        return;
+    std::ostringstream os;
+    os << "disk " << dev << ": request " << id << " completed at "
+       << done << ", before submit + minimum service (" << floor
+       << ")";
+    fail(os.str());
+}
+
+void
+InvariantChecker::failPositioningBound(std::uint32_t dev,
+                                       sim::Tick lower_bound,
+                                       sim::Tick exact)
+{
     std::ostringstream os;
     os << "disk " << dev << ": pure-seek lower bound " << lower_bound
        << " exceeds the exact positioning price " << exact
@@ -155,12 +122,9 @@ InvariantChecker::checkPositioningBound(std::uint32_t dev,
 }
 
 void
-InvariantChecker::checkServiceBound(std::uint32_t dev, sim::Tick floor,
-                                    sim::Tick done)
+InvariantChecker::failServiceBound(std::uint32_t dev, sim::Tick floor,
+                                   sim::Tick done)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
-    if (floor <= done) [[likely]]
-        return;
     std::ostringstream os;
     os << "disk " << dev << ": completion floor " << floor
        << " lies after the actual completion " << done
@@ -175,7 +139,7 @@ InvariantChecker::checkSchedChoice(const char *policy,
                                    std::uint32_t want_slot,
                                    std::uint32_t want_arm)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    schedObservations_.fetch_add(1, std::memory_order_relaxed);
     if (got_slot == want_slot && got_arm == want_arm)
         return;
     std::ostringstream os;
@@ -188,19 +152,12 @@ InvariantChecker::checkSchedChoice(const char *policy,
 }
 
 void
-InvariantChecker::checkDiskOccupancy(
+InvariantChecker::failOccupancy(
     std::uint32_t dev, std::size_t in_flight, std::uint32_t busy_arms,
     std::uint32_t total_arms, std::uint32_t active_seeks,
     std::uint32_t max_seeks, std::uint32_t active_transfers,
     std::uint32_t max_transfers)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
-    // Hot path: every dispatch and completion passes through here, so
-    // the all-clear case must not touch streams or the heap.
-    if (in_flight == busy_arms && busy_arms <= total_arms &&
-        active_seeks <= max_seeks &&
-        active_transfers <= max_transfers) [[likely]]
-        return;
     std::ostringstream os;
     if (in_flight != busy_arms) {
         os << "disk " << dev << ": " << in_flight
@@ -225,77 +182,62 @@ InvariantChecker::checkDiskOccupancy(
 }
 
 void
-InvariantChecker::arraySplit(std::uint64_t join_id, sim::Tick arrival,
-                             sim::Tick now)
+InvariantChecker::failSplitBeforeArrival(std::uint64_t join_id,
+                                         sim::Tick arrival,
+                                         sim::Tick now)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
-    if (arrival > now) {
-        std::ostringstream os;
-        os << "array: join " << join_id
-           << " split before its arrival (" << arrival << " > " << now
-           << ")";
-        fail(os.str());
-    }
-    auto [state, inserted] = joins_.insert(join_id, JoinState{});
-    if (!inserted) {
-        std::ostringstream os;
-        os << "array: join id " << join_id << " reused";
-        fail(os.str());
-        return;
-    }
-    state->arrival = arrival;
-    ++joinsCreated_;
+    std::ostringstream os;
+    os << "array: join " << join_id << " split before its arrival ("
+       << arrival << " > " << now << ")";
+    fail(os.str());
 }
 
 void
-InvariantChecker::arraySub(std::uint64_t join_id)
+InvariantChecker::failJoinReused(std::uint64_t join_id)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
-    JoinState *state = joins_.find(join_id);
-    if (state == nullptr || state->joined) {
-        std::ostringstream os;
-        os << "array: sub-request issued for "
-           << (state == nullptr ? "unknown" : "already-joined")
-           << " join " << join_id;
-        fail(os.str());
-        return;
-    }
-    ++state->outstanding;
+    std::ostringstream os;
+    os << "array: join id " << join_id << " reused";
+    fail(os.str());
 }
 
 void
-InvariantChecker::arraySubFinish(std::uint64_t join_id, sim::Tick done)
+InvariantChecker::failSubForDeadJoin(std::uint64_t join_id,
+                                     bool unknown)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
-    (void)done;
-    JoinState *state = joins_.find(join_id);
-    if (state == nullptr || state->outstanding == 0) {
-        std::ostringstream os;
-        os << "array: sub-completion for join " << join_id
-           << " with no outstanding sub-requests";
-        fail(os.str());
-        return;
-    }
-    --state->outstanding;
+    std::ostringstream os;
+    os << "array: sub-request issued for "
+       << (unknown ? "unknown" : "already-joined") << " join "
+       << join_id;
+    fail(os.str());
 }
 
 void
-InvariantChecker::arrayJoin(std::uint64_t join_id, sim::Tick arrival,
-                            sim::Tick done)
+InvariantChecker::failSubFinishUnowed(std::uint64_t join_id)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
-    JoinState *state = joins_.find(join_id);
-    if (state == nullptr || state->joined) {
-        std::ostringstream os;
-        os << "array: join " << join_id << " completed "
-           << (state == nullptr ? "without a split" : "twice");
-        fail(os.str());
-        return;
-    }
-    if (state->outstanding != 0) {
+    std::ostringstream os;
+    os << "array: sub-completion for join " << join_id
+       << " with no outstanding sub-requests";
+    fail(os.str());
+}
+
+void
+InvariantChecker::failJoinTwice(std::uint64_t join_id, bool unknown)
+{
+    std::ostringstream os;
+    os << "array: join " << join_id << " completed "
+       << (unknown ? "without a split" : "twice");
+    fail(os.str());
+}
+
+void
+InvariantChecker::failJoin(std::uint64_t join_id,
+                           std::uint32_t outstanding, sim::Tick arrival,
+                           sim::Tick done)
+{
+    if (outstanding != 0) {
         std::ostringstream os;
         os << "array: join " << join_id << " completed with "
-           << state->outstanding << " sub-requests outstanding";
+           << outstanding << " sub-requests outstanding";
         fail(os.str());
     }
     if (done < arrival) {
@@ -304,9 +246,6 @@ InvariantChecker::arrayJoin(std::uint64_t join_id, sim::Tick arrival,
            << ", before its arrival " << arrival;
         fail(os.str());
     }
-    state->joined = true;
-    ++joinsCompleted_;
-    joins_.erase(join_id);
 }
 
 void
@@ -314,7 +253,7 @@ InvariantChecker::arraySubRange(std::uint32_t dev, std::uint64_t lba,
                                 std::uint32_t sectors,
                                 std::uint64_t disk_sectors)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    ++coordObservations_;
     std::ostringstream os;
     os << "array: sub-request [" << lba << ", " << lba + sectors
        << ") for disk " << dev << " lies beyond the member's "
@@ -328,7 +267,7 @@ InvariantChecker::checkModeAccounting(std::uint32_t dev,
                                       const stats::ModeTimes &seg_sum,
                                       std::uint32_t arms)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
+    ++disk(dev).observations;
     sim::Tick wall_sum = 0;
     for (sim::Tick w : total.wall)
         wall_sum += w;
@@ -372,34 +311,64 @@ InvariantChecker::checkModeAccounting(std::uint32_t dev,
     }
 }
 
+namespace {
+
+std::string
+missingSpareWrite(std::uint64_t chunk)
+{
+    std::ostringstream os;
+    os << "rebuild: chunk " << chunk
+       << " saw 0 spare writes (must be exactly one)";
+    return os.str();
+}
+
+} // namespace
+
 void
 InvariantChecker::rebuildChunk(std::uint64_t chunk)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
-    if (!rebuildWrites_.insert(chunk, 0u).second) {
+    ++coordObservations_;
+    if (chunk != rebuildChunks_) {
         std::ostringstream os;
-        os << "rebuild: chunk " << chunk << " reconstructed twice";
+        if (chunk < rebuildChunks_)
+            os << "rebuild: chunk " << chunk << " reconstructed twice";
+        else
+            os << "rebuild: chunk " << chunk
+               << " announced out of order (expected chunk "
+               << rebuildChunks_ << ")";
         fail(os.str());
         return;
     }
+    // One chunk at a time: the open one must have its spare write
+    // before the engine moves on.
+    if (rebuildChunks_ > 0 && openChunkWrites_ == 0)
+        fail(missingSpareWrite(rebuildChunks_ - 1));
     ++rebuildChunks_;
+    openChunkWrites_ = 0;
 }
 
 void
 InvariantChecker::rebuildSpareWrite(std::uint64_t chunk)
 {
-    observations_.fetch_add(1, std::memory_order_relaxed);
-    std::uint32_t *writes = rebuildWrites_.find(chunk);
-    if (writes == nullptr) {
+    ++coordObservations_;
+    if (chunk >= rebuildChunks_) {
         std::ostringstream os;
         os << "rebuild: spare write for unannounced chunk " << chunk;
         fail(os.str());
         return;
     }
-    if (++*writes > 1) {
+    if (chunk + 1 != rebuildChunks_) {
+        std::ostringstream os;
+        os << "rebuild: spare write for chunk " << chunk
+           << " after chunk " << rebuildChunks_ - 1
+           << " was announced";
+        fail(os.str());
+        return;
+    }
+    if (++openChunkWrites_ > 1) {
         std::ostringstream os;
         os << "rebuild: chunk " << chunk << " written to the spare "
-           << *writes << " times (must be exactly once)";
+           << openChunkWrites_ << " times (must be exactly once)";
         fail(os.str());
         return;
     }
@@ -436,33 +405,16 @@ InvariantChecker::finalize()
         fail(os.str());
     }
     // Rebuilt-stripe conservation: every announced chunk got exactly
-    // one spare write (per-chunk over-writes fail at the hook; here
-    // the under-write side closes the identity).
+    // one spare write (over-writes fail at the hook, and so does a
+    // closed chunk left unwritten; the open chunk closes here).
     if (rebuildChunks_ != rebuildSpareWrites_) {
         std::ostringstream os;
         os << "rebuild: " << rebuildChunks_ << " chunks vs "
            << rebuildSpareWrites_ << " spare writes";
         fail(os.str());
     }
-    rebuildWrites_.forEach([this](std::uint64_t chunk,
-                                  std::uint32_t writes) {
-        if (writes == 1)
-            return;
-        std::ostringstream os;
-        os << "rebuild: chunk " << chunk << " saw " << writes
-           << " spare writes (must be exactly one)";
-        fail(os.str());
-    });
-}
-
-VerifyScope::VerifyScope(InvariantChecker *checker) : prev_(t_current)
-{
-    t_current = checker;
-}
-
-VerifyScope::~VerifyScope()
-{
-    t_current = prev_;
+    if (rebuildChunks_ > 0 && openChunkWrites_ == 0)
+        fail(missingSpareWrite(rebuildChunks_ - 1));
 }
 
 } // namespace verify

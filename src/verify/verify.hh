@@ -8,7 +8,12 @@
  * every hook below folds to nothing — checking is zero-cost, not
  * merely cheap. With the guard on (the default) the cost of a
  * disabled run is one thread-local load and branch per hook, bounded
- * by bench/micro_simcore.
+ * by bench/micro_simcore: InvariantChecker::current() is an inline
+ * read of a class-static thread_local. With a checker installed, the
+ * per-request checks are inline too — a few compares, a ledger
+ * probe where the law needs one, and a plain count in state owned by
+ * the calling calendar — and only a violation leaves the caller, for
+ * a cold helper that builds the message.
  *
  * Runtime control is per run: core::Run, which every driver builds
  * its run with, installs an InvariantChecker for the duration of a

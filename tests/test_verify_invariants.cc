@@ -6,6 +6,8 @@
  * (VerifyScope nesting, environment gate) must behave.
  */
 
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "config/env.hh"
@@ -149,6 +151,138 @@ TEST(VerifyChecker, FinalizeCatchesLeakedWork)
     // Leaked disk id, submit/completion imbalance, leaked join, and
     // split/join count mismatch all fire.
     EXPECT_EQ(vc.violations().size(), 4u);
+}
+
+// The rebuild engine announces chunks 0, 1, 2, ... one at a time, and
+// each gets exactly one spare write before the next is announced.
+
+TEST(VerifyChecker, AcceptsAnInOrderRebuild)
+{
+    InvariantChecker vc(FailMode::Record);
+    for (std::uint64_t chunk = 0; chunk < 3; ++chunk) {
+        vc.rebuildChunk(chunk);
+        vc.rebuildSpareWrite(chunk);
+    }
+    vc.finalize();
+    EXPECT_TRUE(vc.violations().empty()) << vc.violations().front();
+}
+
+TEST(VerifyChecker, CatchesRebuildChunkAnnouncedTwice)
+{
+    InvariantChecker vc(FailMode::Record);
+    vc.rebuildChunk(0);
+    vc.rebuildSpareWrite(0);
+    vc.rebuildChunk(0);
+    ASSERT_EQ(vc.violations().size(), 1u);
+    EXPECT_NE(vc.violations()[0].find("chunk 0 reconstructed twice"),
+              std::string::npos);
+}
+
+TEST(VerifyChecker, CatchesRebuildChunkOutOfOrder)
+{
+    InvariantChecker vc(FailMode::Record);
+    vc.rebuildChunk(0);
+    vc.rebuildSpareWrite(0);
+    vc.rebuildChunk(2);
+    ASSERT_EQ(vc.violations().size(), 1u);
+    EXPECT_NE(vc.violations()[0].find("out of order"),
+              std::string::npos);
+}
+
+TEST(VerifyChecker, CatchesSpareWriteForUnannouncedChunk)
+{
+    InvariantChecker vc(FailMode::Record);
+    vc.rebuildSpareWrite(0);
+    ASSERT_EQ(vc.violations().size(), 1u);
+    vc.rebuildChunk(0);
+    vc.rebuildSpareWrite(1);
+    ASSERT_EQ(vc.violations().size(), 2u);
+    EXPECT_NE(vc.violations()[1].find("unannounced chunk 1"),
+              std::string::npos);
+}
+
+TEST(VerifyChecker, CatchesSpareWriteForAClosedChunk)
+{
+    InvariantChecker vc(FailMode::Record);
+    vc.rebuildChunk(0);
+    vc.rebuildSpareWrite(0);
+    vc.rebuildChunk(1);
+    vc.rebuildSpareWrite(0);
+    ASSERT_EQ(vc.violations().size(), 1u);
+    EXPECT_NE(vc.violations()[0].find("spare write for chunk 0"),
+              std::string::npos);
+}
+
+TEST(VerifyChecker, CatchesSecondSpareWrite)
+{
+    InvariantChecker vc(FailMode::Record);
+    vc.rebuildChunk(0);
+    vc.rebuildSpareWrite(0);
+    EXPECT_TRUE(vc.violations().empty());
+    vc.rebuildSpareWrite(0);
+    ASSERT_EQ(vc.violations().size(), 1u);
+    EXPECT_NE(vc.violations()[0].find("written to the spare 2 times"),
+              std::string::npos);
+}
+
+TEST(VerifyChecker, CatchesMissingSpareWrite)
+{
+    // The open chunk's write can still come, so a missing write
+    // fails at finalize...
+    InvariantChecker open(FailMode::Record);
+    open.rebuildChunk(0);
+    EXPECT_TRUE(open.violations().empty());
+    open.finalize();
+    ASSERT_EQ(open.violations().size(), 2u);
+    EXPECT_NE(open.violations()[0].find("1 chunks vs 0 spare writes"),
+              std::string::npos);
+    EXPECT_NE(open.violations()[1].find("chunk 0 saw 0 spare writes"),
+              std::string::npos);
+
+    // ...or as soon as the engine moves on to the next chunk.
+    InvariantChecker moved_on(FailMode::Record);
+    moved_on.rebuildChunk(0);
+    moved_on.rebuildChunk(1);
+    ASSERT_EQ(moved_on.violations().size(), 1u);
+    EXPECT_NE(moved_on.violations()[0].find("chunk 0 saw 0 spare writes"),
+              std::string::npos);
+}
+
+TEST(VerifyChecker, EveryHookCountsOneObservation)
+{
+    // observations() sums per-domain, per-drive and coordinator
+    // counts: each hook must bump exactly one of them, once.
+    InvariantChecker vc(FailMode::Record);
+    const stats::ModeTimes idle_books;
+    const std::pair<const char *, std::function<void()>> hooks[] = {
+        {"checkKernelTime", [&] { vc.checkKernelTime(3, 0, 10); }},
+        {"diskSubmit", [&] { vc.diskSubmit(2, 7, 0, 10); }},
+        {"diskComplete", [&] { vc.diskComplete(2, 7, 100, 10); }},
+        {"checkDiskOccupancy",
+         [&] { vc.checkDiskOccupancy(1, 1, 1, 4, 1, 1, 0, 1); }},
+        {"checkPositioningBound",
+         [&] { vc.checkPositioningBound(1, 5, 10); }},
+        {"checkServiceBound", [&] { vc.checkServiceBound(1, 5, 10); }},
+        {"checkSchedChoice",
+         [&] { vc.checkSchedChoice("sptf", 1, 0, 1, 0); }},
+        {"arraySplit", [&] { vc.arraySplit(9, 0, 0); }},
+        {"arraySub", [&] { vc.arraySub(9); }},
+        {"arraySubFinish", [&] { vc.arraySubFinish(9, 50); }},
+        {"arrayJoin", [&] { vc.arrayJoin(9, 0, 50); }},
+        {"arraySubRange", [&] { vc.arraySubRange(0, 100, 8, 64); }},
+        {"checkModeAccounting",
+         [&] { vc.checkModeAccounting(0, idle_books, idle_books, 1); }},
+        {"rebuildChunk", [&] { vc.rebuildChunk(0); }},
+        {"rebuildSpareWrite", [&] { vc.rebuildSpareWrite(0); }},
+    };
+    for (const auto &[name, call] : hooks) {
+        const std::uint64_t before = vc.observations();
+        call();
+        EXPECT_EQ(vc.observations(), before + 1) << name;
+    }
+    // Only arraySubRange reports (it is called on a violation).
+    ASSERT_EQ(vc.violations().size(), 1u);
+    EXPECT_NE(vc.violations()[0].find("lies beyond"), std::string::npos);
 }
 
 TEST(VerifyChecker, PanicModeDiesOnViolation)
