@@ -35,7 +35,7 @@ main()
 
     const config::Env env = config::resolveEnv();
     sim::setLogThreshold(env.logLevel);
-    const std::uint64_t fg_requests = 40000;
+    const std::uint64_t fg_requests = env.benchRequests(40000);
     const double fg_inter_ms = 9.0; // moderate foreground load
 
     stats::TextTable table(

@@ -53,8 +53,7 @@ main()
     // core::Run like every other: it runs under the invariant checker
     // (IDP_VERIFY) and takes the drive and array knobs. A single-drive
     // array is bit-identical to a standalone drive.
-    const std::uint64_t requests =
-        std::max<std::uint64_t>(4000, 80000);
+    const std::uint64_t requests = env.benchRequests(80000);
     core::SystemConfig system = core::makeRaid0System(
         "sa4", disk::makeIntraDiskParallel(disk::barracudaEs750(), 4),
         1);

@@ -15,9 +15,9 @@
  *     ]
  *   }
  *
- * The reports feed the perf-trajectory harness: tools/run_all.sh and
- * CI keep BENCH_*.json next to the figure outputs so a regression in
- * events/sec or steady-state allocations is visible as a diff.
+ * tools/bench_check.py checks each report against the gates its
+ * bench pins; CI's bench-smoke job runs it on fresh smoke-scale
+ * reports and uploads them. Reports are not committed.
  *
  * Linking this library also interposes global operator new/delete
  * with a counting pass-through, so benches can measure allocations

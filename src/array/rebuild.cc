@@ -9,6 +9,13 @@
 namespace idp {
 namespace array {
 
+namespace {
+
+/** Re-check period while the sweep yields to foreground work. */
+constexpr double kYieldMs = 1.0;
+
+} // namespace
+
 RebuildEngine::RebuildEngine(StorageArray &arr,
                              std::uint32_t spare_idx,
                              RebuildParams params)
@@ -66,7 +73,7 @@ RebuildEngine::pump()
             continue;
         ++progress_.yields;
         const sim::Tick wait =
-            std::max<sim::Tick>(1, sim::msToTicks(params_.yieldMs));
+            std::max<sim::Tick>(1, sim::msToTicks(kYieldMs));
         arr_.sim_.schedule(now + wait, [this] { pump(); });
         return;
     }
@@ -171,8 +178,6 @@ RebuildEngine::finish()
     progress_.done = true;
     progress_.finishedAt = arr_.sim_.now();
     arr_.completeRebuild(spareIdx_);
-    if (params_.onDone)
-        params_.onDone();
 }
 
 } // namespace array

@@ -61,13 +61,9 @@ struct RebuildParams
     /** Pause the sweep while any surviving member's foreground queue
      *  is deeper than this. */
     std::size_t yieldDepth = 4;
-    /** Re-check period while yielding, in milliseconds. */
-    double yieldMs = 1.0;
     /** Called after each chunk lands (benches probe allocator state
      *  here); may be empty. */
     std::function<void(std::uint64_t chunk)> onChunk;
-    /** Called once when the spare holds the full member image. */
-    std::function<void()> onDone;
 };
 
 /** Progress snapshot (telemetry / benches / tests). */

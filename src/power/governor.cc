@@ -8,6 +8,13 @@
 namespace idp {
 namespace power {
 
+namespace {
+
+/** Completion-latency sliding window capacity (p99 estimator). */
+constexpr std::size_t kLatencyRing = 1024;
+
+} // namespace
+
 Governor::Governor(sim::Simulator &simul, const GovernorParams &params,
                    std::vector<disk::DiskDrive *> drives)
     : sim_(simul), params_(params), drives_(std::move(drives))
@@ -15,7 +22,6 @@ Governor::Governor(sim::Simulator &simul, const GovernorParams &params,
     sim::simAssert(!drives_.empty(), "governor: no drives to control");
     sim::simAssert(params_.windowMs > 0.0, "governor: windowMs must be > 0");
     sim::simAssert(params_.sloP99Ms > 0.0, "governor: sloP99Ms must be > 0");
-    sim::simAssert(params_.latencyRing > 0, "governor: empty latency ring");
 
     // Per-drive level table: descending, with the drive's nominal
     // speed prepended when the configured levels omit it (the governor
@@ -42,9 +48,9 @@ Governor::Governor(sim::Simulator &simul, const GovernorParams &params,
         perDrive_[i].levelIdx = idx;
     }
 
-    ring_.assign(params_.latencyRing, 0.0);
+    ring_.assign(kLatencyRing, 0.0);
     ringPos_ = 0;
-    scratch_.reserve(params_.latencyRing);
+    scratch_.reserve(kLatencyRing);
 
     windowTicks_ = sim::msToTicks(params_.windowMs);
     dwellTicks_ = sim::msToTicks(params_.minDwellMs);

@@ -106,9 +106,6 @@ struct GovernorParams
      * when PowerParams::actuatorIdleW > 0.
      */
     std::uint32_t parkKeepArms = 0;
-
-    /** Completion-latency sliding window capacity (p99 estimator). */
-    std::size_t latencyRing = 1024;
 };
 
 /** Decision counters (also exported as telemetry counters). */

@@ -201,13 +201,10 @@ InvariantChecker::failJoinReused(std::uint64_t join_id)
 }
 
 void
-InvariantChecker::failSubForDeadJoin(std::uint64_t join_id,
-                                     bool unknown)
+InvariantChecker::failSubForUnknownJoin(std::uint64_t join_id)
 {
     std::ostringstream os;
-    os << "array: sub-request issued for "
-       << (unknown ? "unknown" : "already-joined") << " join "
-       << join_id;
+    os << "array: sub-request issued for unknown join " << join_id;
     fail(os.str());
 }
 
@@ -221,11 +218,10 @@ InvariantChecker::failSubFinishUnowed(std::uint64_t join_id)
 }
 
 void
-InvariantChecker::failJoinTwice(std::uint64_t join_id, bool unknown)
+InvariantChecker::failJoinWithoutSplit(std::uint64_t join_id)
 {
     std::ostringstream os;
-    os << "array: join " << join_id << " completed "
-       << (unknown ? "without a split" : "twice");
+    os << "array: join " << join_id << " completed without a split";
     fail(os.str());
 }
 

@@ -187,12 +187,10 @@ class InvariantChecker
         ++coordObservations_;
         if (arrival > now) [[unlikely]]
             failSplitBeforeArrival(join_id, arrival, now);
-        auto [state, inserted] = joins_.insert(join_id, JoinState{});
-        if (!inserted) [[unlikely]] {
+        if (!joins_.insert(join_id, 0).second) [[unlikely]] {
             failJoinReused(join_id);
             return;
         }
-        state->arrival = arrival;
         ++joinsCreated_;
     }
 
@@ -200,12 +198,12 @@ class InvariantChecker
     arraySub(std::uint64_t join_id)
     {
         ++coordObservations_;
-        JoinState *state = joins_.find(join_id);
-        if (state == nullptr || state->joined) [[unlikely]] {
-            failSubForDeadJoin(join_id, state == nullptr);
+        std::uint32_t *outstanding = joins_.find(join_id);
+        if (outstanding == nullptr) [[unlikely]] {
+            failSubForUnknownJoin(join_id);
             return;
         }
-        ++state->outstanding;
+        ++*outstanding;
     }
 
     void
@@ -213,26 +211,25 @@ class InvariantChecker
     {
         ++coordObservations_;
         (void)done;
-        JoinState *state = joins_.find(join_id);
-        if (state == nullptr || state->outstanding == 0) [[unlikely]] {
+        std::uint32_t *outstanding = joins_.find(join_id);
+        if (outstanding == nullptr || *outstanding == 0) [[unlikely]] {
             failSubFinishUnowed(join_id);
             return;
         }
-        --state->outstanding;
+        --*outstanding;
     }
 
     void
     arrayJoin(std::uint64_t join_id, sim::Tick arrival, sim::Tick done)
     {
         ++coordObservations_;
-        JoinState *state = joins_.find(join_id);
-        if (state == nullptr || state->joined) [[unlikely]] {
-            failJoinTwice(join_id, state == nullptr);
+        const std::uint32_t *outstanding = joins_.find(join_id);
+        if (outstanding == nullptr) [[unlikely]] {
+            failJoinWithoutSplit(join_id);
             return;
         }
-        if (state->outstanding != 0 || done < arrival) [[unlikely]]
-            failJoin(join_id, state->outstanding, arrival, done);
-        state->joined = true;
+        if (*outstanding != 0 || done < arrival) [[unlikely]]
+            failJoin(join_id, *outstanding, arrival, done);
         ++joinsCompleted_;
         joins_.erase(join_id);
     }
@@ -319,13 +316,6 @@ class InvariantChecker
         std::uint64_t observations = 0;
     };
 
-    struct JoinState
-    {
-        sim::Tick arrival = 0;
-        std::uint32_t outstanding = 0;
-        bool joined = false;
-    };
-
     DiskState &
     disk(std::uint32_t dev)
     {
@@ -365,11 +355,9 @@ class InvariantChecker
                                               sim::Tick arrival,
                                               sim::Tick now);
     [[gnu::cold]] void failJoinReused(std::uint64_t join_id);
-    [[gnu::cold]] void failSubForDeadJoin(std::uint64_t join_id,
-                                          bool unknown);
+    [[gnu::cold]] void failSubForUnknownJoin(std::uint64_t join_id);
     [[gnu::cold]] void failSubFinishUnowed(std::uint64_t join_id);
-    [[gnu::cold]] void failJoinTwice(std::uint64_t join_id,
-                                     bool unknown);
+    [[gnu::cold]] void failJoinWithoutSplit(std::uint64_t join_id);
     [[gnu::cold]] void failJoin(std::uint64_t join_id,
                                 std::uint32_t outstanding,
                                 sim::Tick arrival, sim::Tick done);
@@ -391,7 +379,9 @@ class InvariantChecker
     // Coordinator state: the array and rebuild hooks run only on the
     // calendars of the main thread (serial, coordinator, array phase).
     std::uint64_t coordObservations_ = 0;
-    sim::IdTable<JoinState> joins_;
+    /** Open joins: split, not yet joined, each with its outstanding
+     *  sub-request count. arrayJoin erases the entry. */
+    sim::IdTable<std::uint32_t> joins_;
     std::uint64_t joinsCreated_ = 0;
     std::uint64_t joinsCompleted_ = 0;
     /** The rebuild ledger is O(1): chunks announced so far (the next

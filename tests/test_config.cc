@@ -1,13 +1,19 @@
 /**
  * @file
  * Configuration-system tests: INI parsing (grammar, errors, typed
- * accessors) and experiment assembly from config text.
+ * accessors), the parse -> serialize -> reparse round trip (shipped
+ * configs and seeded random documents), and experiment assembly from
+ * config text.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <sstream>
+
 #include "config/ini.hh"
 #include "config/sim_config.hh"
+#include "sim/rng.hh"
 
 namespace {
 
@@ -296,5 +302,174 @@ TEST(SimConfig, UnknownLayoutFatal)
         "[workload]\nkind = synthetic\nrequests = 10\n");
     EXPECT_DEATH(config::experimentFromIni(ini), "unknown");
 }
+
+// ---------------------------------------------------------------
+// INI round-trip property: parse -> serialize -> reparse == identity
+// ---------------------------------------------------------------
+
+/** Semantic equality: same sections/keys in the same order, same
+ *  values — checked through the public API only. */
+void
+expectIniEqual(const config::IniFile &a, const config::IniFile &b)
+{
+    ASSERT_EQ(a.sections(), b.sections());
+    for (const auto &section : a.sections()) {
+        ASSERT_EQ(a.keys(section), b.keys(section))
+            << "section [" << section << "]";
+        for (const auto &key : a.keys(section))
+            EXPECT_EQ(a.get(section, key), b.get(section, key))
+                << "[" << section << "] " << key;
+    }
+}
+
+void
+expectRoundTrips(const config::IniFile &ini)
+{
+    const std::string serialized = ini.str();
+    const config::IniFile reparsed =
+        config::IniFile::parseString(serialized);
+    expectIniEqual(ini, reparsed);
+    // Serialization is a fix point: reparse then reserialize is
+    // byte-identical, so golden configs stay diffable.
+    EXPECT_EQ(serialized, reparsed.str());
+}
+
+TEST(IniRoundTrip, ShippedConfigsRoundTrip)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(IDP_SOURCE_DIR) / "configs";
+    std::size_t seen = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() != ".ini")
+            continue;
+        SCOPED_TRACE(entry.path().filename().string());
+        expectRoundTrips(
+            config::IniFile::parseFile(entry.path().string()));
+        ++seen;
+    }
+    EXPECT_GE(seen, 3u) << "expected the shipped configs/*.ini";
+}
+
+TEST(IniRoundTrip, HandlesCommentsDuplicateSectionsAndSpacing)
+{
+    const config::IniFile ini = config::IniFile::parseString(
+        "# leading comment\n"
+        "[drive]\n"
+        "  rpm   =  7200   ; trailing comment\n"
+        "name = Barracuda ES 750\n"
+        "\n"
+        "[workload]\n"
+        "kind = websearch\n"
+        "[drive]\n"          // duplicate section: merged, order kept
+        "platters = 4\n");
+    EXPECT_EQ(ini.get("drive", "rpm"), "7200");
+    EXPECT_EQ(ini.get("drive", "platters"), "4");
+    EXPECT_EQ(ini.sections(),
+              (std::vector<std::string>{"drive", "workload"}));
+    expectRoundTrips(ini);
+}
+
+TEST(IniRoundTrip, ValuesMayContainEqualsAndBrackets)
+{
+    const config::IniFile ini = config::IniFile::parseString(
+        "[s]\n"
+        "expr = a=b=c\n"
+        "range = [0, 10)\n");
+    EXPECT_EQ(ini.get("s", "expr"), "a=b=c");
+    EXPECT_EQ(ini.get("s", "range"), "[0, 10)");
+    expectRoundTrips(ini);
+}
+
+TEST(IniRoundTrip, EmptySectionNameIsRejected)
+{
+    // "[ ]" used to parse as a section literally named "" — which
+    // serialization cannot represent ("[]"), breaking the round
+    // trip. The parser now rejects it outright.
+    EXPECT_EXIT(config::IniFile::parseString("[ ]\nk = v\n"),
+                ::testing::ExitedWithCode(1), "empty section name");
+}
+
+TEST(IniRoundTrip, SetRejectsUnrepresentableTokens)
+{
+    config::IniFile ini;
+    ini.set("s", "k", "v");
+    EXPECT_EXIT(ini.set("s", "k", "has # marker"),
+                ::testing::ExitedWithCode(1), "cannot represent");
+    EXPECT_EXIT(ini.set("s", "bad=key", "v"),
+                ::testing::ExitedWithCode(1), "cannot represent");
+    EXPECT_EXIT(ini.set("s", "k", " padded "),
+                ::testing::ExitedWithCode(1), "whitespace");
+    EXPECT_EXIT(ini.set("bad]name", "k", "v"),
+                ::testing::ExitedWithCode(1), "cannot represent");
+}
+
+class IniFuzzRoundTrip : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(IniFuzzRoundTrip, RandomDocumentsRoundTrip)
+{
+    sim::Rng rng =
+        sim::Rng::forStream(0x1A1F, static_cast<std::uint64_t>(
+                                        GetParam()));
+
+    // Token alphabets the grammar can represent (no comment markers,
+    // no newlines; interior spaces allowed in values).
+    const std::string ident =
+        "abcdefghijklmnopqrstuvwxyz"
+        "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-";
+    const std::string valueChars = ident + "=[()/ @+%";
+    auto token = [&](const std::string &alphabet,
+                     std::uint64_t min_len, std::uint64_t max_len) {
+        const std::uint64_t len = min_len +
+            rng.uniformInt(max_len - min_len + 1);
+        std::string s;
+        for (std::uint64_t i = 0; i < len; ++i)
+            s += alphabet[rng.uniformInt(alphabet.size())];
+        return s;
+    };
+
+    config::IniFile ini;
+    const std::uint64_t sections = 1 + rng.uniformInt(5ULL);
+    for (std::uint64_t s = 0; s < sections; ++s) {
+        const std::string section = token(ident, 1, 12);
+        const std::uint64_t keys = 1 + rng.uniformInt(8ULL);
+        for (std::uint64_t k = 0; k < keys; ++k) {
+            std::string value = token(valueChars, 0, 20);
+            // Interior spaces only: trim the ends.
+            while (!value.empty() && value.front() == ' ')
+                value.erase(value.begin());
+            while (!value.empty() && value.back() == ' ')
+                value.pop_back();
+            ini.set(section, token(ident, 1, 12), value);
+        }
+    }
+    expectRoundTrips(ini);
+
+    // Also survive a noisy re-rendering: random comments, blank
+    // lines and whitespace around tokens must parse back to the
+    // same document.
+    std::ostringstream noisy;
+    for (const auto &section : ini.sections()) {
+        if (rng.chance(0.5))
+            noisy << "# " << token(valueChars, 0, 10) << "\n";
+        noisy << "  [" << section << "]  \n";
+        for (const auto &key : ini.keys(section)) {
+            noisy << "  " << key << "  =  "
+                  << ini.get(section, key);
+            if (rng.chance(0.3))
+                noisy << "   ; " << token(ident, 0, 8);
+            noisy << "\n";
+            if (rng.chance(0.2))
+                noisy << "\n";
+        }
+    }
+    expectIniEqual(ini,
+                   config::IniFile::parseString(noisy.str()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IniFuzzRoundTrip,
+                         ::testing::Range(0, 16));
 
 } // namespace

@@ -23,16 +23,15 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
 #include <sstream>
 
 #include "array/rebuild.hh"
 #include "array/storage_array.hh"
-#include "config/env.hh"
 #include "core/csv_export.hh"
 #include "core/experiment.hh"
 #include "core/run.hh"
+#include "rig.hh"
 #include "stats/table.hh"
 #include "verify/verify.hh"
 #include "workload/synthetic.hh"
@@ -40,14 +39,6 @@
 namespace {
 
 using namespace idp;
-
-const char *kGoldenRelPath = "/tests/golden/determinism_sa2.csv";
-
-std::string
-goldenPath()
-{
-    return std::string(IDP_SOURCE_DIR) + kGoldenRelPath;
-}
 
 std::string
 runScenario()
@@ -72,25 +63,7 @@ runScenario()
 
 TEST(DeterminismGolden, Sa2ExponentialScenarioMatchesGoldenFile)
 {
-    const std::string measured = runScenario();
-
-    if (config::resolveEnv().updateGolden) {
-        std::ofstream os(goldenPath());
-        ASSERT_TRUE(os) << "cannot write " << goldenPath();
-        os << measured;
-        GTEST_SKIP() << "golden file refreshed: " << goldenPath();
-    }
-
-    std::ifstream is(goldenPath());
-    ASSERT_TRUE(is) << "missing golden file " << goldenPath()
-                    << " — generate it with IDP_UPDATE_GOLDEN=1";
-    std::stringstream golden;
-    golden << is.rdbuf();
-
-    EXPECT_EQ(golden.str(), measured)
-        << "simulator output drifted from " << goldenPath()
-        << "\nIf this change is intentional, refresh with "
-           "IDP_UPDATE_GOLDEN=1 and review the diff.";
+    test::expectGolden("determinism_sa2.csv", runScenario());
 }
 
 TEST(DeterminismGolden, ScenarioIsRunToRunStable)
@@ -109,7 +82,7 @@ TEST(DeterminismGolden, ScenarioIsRunToRunStable)
 
 struct PdesScenario
 {
-    const char *golden; ///< path under tests/golden/
+    const char *golden; ///< file name under tests/golden/
     core::SystemConfig config;
     std::uint64_t requests;
 };
@@ -118,7 +91,7 @@ PdesScenario
 pdesScenario(const std::string &name)
 {
     if (name == "sa1") {
-        return {"/tests/golden/determinism_pdes_sa1.csv",
+        return {"determinism_pdes_sa1.csv",
                 core::makeRaid0System(
                     "HC-SD-SA(1)",
                     disk::makeIntraDiskParallel(disk::barracudaEs750(),
@@ -127,7 +100,7 @@ pdesScenario(const std::string &name)
                 5000};
     }
     if (name == "sa4") {
-        return {"/tests/golden/determinism_pdes_sa4.csv",
+        return {"determinism_pdes_sa4.csv",
                 core::makeRaid0System(
                     "HC-SD-SA(4)",
                     disk::makeIntraDiskParallel(disk::barracudaEs750(),
@@ -146,8 +119,7 @@ pdesScenario(const std::string &name)
         raid5.array.disks = 4;
         raid5.array.drive = disk::barracudaEs750();
         raid5.array.useBus = true;
-        return {"/tests/golden/determinism_pdes_raid5.csv", raid5,
-                1500};
+        return {"determinism_pdes_raid5.csv", raid5, 1500};
     }
     if (name == "raid1") {
         // RAID-1 with positioning-priced replica dispatch: the
@@ -159,8 +131,7 @@ pdesScenario(const std::string &name)
         raid1.array.layout = array::Layout::Raid1;
         raid1.array.disks = 4;
         raid1.array.drive = disk::barracudaEs750();
-        return {"/tests/golden/determinism_pdes_raid1.csv", raid1,
-                3000};
+        return {"determinism_pdes_raid1.csv", raid1, 3000};
     }
     // Busless RAID-5: read-modify-write resubmits at the completion
     // tick with zero bus latency — the static engine rejects it, the
@@ -171,8 +142,7 @@ pdesScenario(const std::string &name)
     nobus.array.disks = 4;
     nobus.array.drive = disk::barracudaEs750();
     nobus.array.useBus = false;
-    return {"/tests/golden/determinism_pdes_raid5_nobus.csv", nobus,
-            1500};
+    return {"determinism_pdes_raid5_nobus.csv", nobus, 1500};
 }
 
 std::string
@@ -202,31 +172,13 @@ class PdesGolden : public testing::TestWithParam<const char *>
 TEST_P(PdesGolden, MatrixMatchesGoldenFileAtEveryWorkerCount)
 {
     const PdesScenario scenario = pdesScenario(GetParam());
-    const std::string path =
-        std::string(IDP_SOURCE_DIR) + scenario.golden;
-
     const std::string serial = runPdesScenario(scenario, 0);
-
-    if (config::resolveEnv().updateGolden) {
-        std::ofstream os(path);
-        ASSERT_TRUE(os) << "cannot write " << path;
-        os << serial;
-        GTEST_SKIP() << "golden file refreshed: " << path;
-    }
-
-    std::ifstream is(path);
-    ASSERT_TRUE(is) << "missing golden file " << path
-                    << " — generate it with IDP_UPDATE_GOLDEN=1";
-    std::stringstream golden;
-    golden << is.rdbuf();
-
-    EXPECT_EQ(golden.str(), serial)
-        << "serial output drifted from " << scenario.golden;
-    EXPECT_EQ(golden.str(), runPdesScenario(scenario, 1))
+    test::expectGolden(scenario.golden, serial);
+    EXPECT_EQ(serial, runPdesScenario(scenario, 1))
         << "PDES(1 worker) diverged from " << scenario.golden;
-    EXPECT_EQ(golden.str(), runPdesScenario(scenario, 4))
+    EXPECT_EQ(serial, runPdesScenario(scenario, 4))
         << "PDES(4 workers) diverged from " << scenario.golden;
-    EXPECT_EQ(golden.str(), runPdesScenario(scenario, 8))
+    EXPECT_EQ(serial, runPdesScenario(scenario, 8))
         << "PDES(8 workers) diverged from " << scenario.golden;
 }
 
@@ -316,26 +268,8 @@ class FailureGolden : public testing::TestWithParam<const char *>
 TEST_P(FailureGolden, ScenarioMatchesGoldenFile)
 {
     const std::string name = GetParam();
-    const std::string path = std::string(IDP_SOURCE_DIR) +
-        "/tests/golden/determinism_" + name + ".csv";
-    const std::string measured = runFailureScenario(name);
-
-    if (config::resolveEnv().updateGolden) {
-        std::ofstream os(path);
-        ASSERT_TRUE(os) << "cannot write " << path;
-        os << measured;
-        GTEST_SKIP() << "golden file refreshed: " << path;
-    }
-
-    std::ifstream is(path);
-    ASSERT_TRUE(is) << "missing golden file " << path
-                    << " — generate it with IDP_UPDATE_GOLDEN=1";
-    std::stringstream golden;
-    golden << is.rdbuf();
-    EXPECT_EQ(golden.str(), measured)
-        << "failure-lifecycle output drifted from " << path
-        << "\nIf this change is intentional, refresh with "
-           "IDP_UPDATE_GOLDEN=1 and review the diff.";
+    test::expectGolden("determinism_" + name + ".csv",
+                       runFailureScenario(name));
 }
 
 TEST_P(FailureGolden, RecordCheckerSeesNoViolationAtZeroAndFourWorkers)
@@ -343,11 +277,8 @@ TEST_P(FailureGolden, RecordCheckerSeesNoViolationAtZeroAndFourWorkers)
     if (!verify::kCompiledIn)
         GTEST_SKIP() << "checker compiled out";
     const std::string name = GetParam();
-    std::ifstream is(std::string(IDP_SOURCE_DIR) +
-                     "/tests/golden/determinism_" + name + ".csv");
-    ASSERT_TRUE(is) << "missing golden file for " << name;
-    std::stringstream golden;
-    golden << is.rdbuf();
+    const std::string golden =
+        test::readGolden("determinism_" + name + ".csv");
     for (int workers : {0, 4}) {
         // The outer checker takes precedence over the run's own.
         verify::InvariantChecker checker(verify::FailMode::Record);
@@ -360,7 +291,7 @@ TEST_P(FailureGolden, RecordCheckerSeesNoViolationAtZeroAndFourWorkers)
         EXPECT_TRUE(checker.violations().empty())
             << workers << " workers: " << checker.violations().front();
         EXPECT_GT(checker.observations(), 0u) << workers << " workers";
-        EXPECT_EQ(golden.str(), measured) << workers << " workers";
+        EXPECT_EQ(golden, measured) << workers << " workers";
     }
 }
 

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 
 #include "array/storage_array.hh"
@@ -288,26 +287,8 @@ goldenGovernorCsv(unsigned threads)
 
 TEST(GovernorDeterminismGolden, SweepMatchesGoldenFile)
 {
-    const std::string path = std::string(IDP_SOURCE_DIR) +
-        "/tests/golden/determinism_governor.csv";
-    const std::string measured = goldenGovernorCsv(1);
-
-    if (config::resolveEnv().updateGolden) {
-        std::ofstream os(path);
-        ASSERT_TRUE(os) << "cannot write " << path;
-        os << measured;
-        GTEST_SKIP() << "golden file refreshed: " << path;
-    }
-
-    std::ifstream is(path);
-    ASSERT_TRUE(is) << "missing golden file " << path
-                    << " — generate it with IDP_UPDATE_GOLDEN=1";
-    std::stringstream golden;
-    golden << is.rdbuf();
-    EXPECT_EQ(golden.str(), measured)
-        << "governed sweep drifted from " << path
-        << "\nIf intentional, refresh with IDP_UPDATE_GOLDEN=1 and "
-           "review the diff.";
+    test::expectGolden("determinism_governor.csv",
+                       goldenGovernorCsv(1));
 }
 
 TEST(GovernorDeterminismGolden, SweepIsThreadCountInvariant)

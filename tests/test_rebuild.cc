@@ -200,10 +200,8 @@ TEST(Rebuild, Raid1CopiesMirrorAndRestoresMember)
 {
     Harness h(raid1());
     h.arr.failDisk(0);
-    bool done_fired = false;
     RebuildParams rp;
     rp.chunkSectors = 65536;
-    rp.onDone = [&done_fired] { done_fired = true; };
     h.arr.startRebuild(0, rp);
     h.simul.run();
 
@@ -213,7 +211,6 @@ TEST(Rebuild, Raid1CopiesMirrorAndRestoresMember)
     ASSERT_NE(h.arr.rebuild(), nullptr);
     const auto &prog = h.arr.rebuild()->progress();
     EXPECT_TRUE(prog.done);
-    EXPECT_TRUE(done_fired);
     EXPECT_EQ(prog.chunksTotal, chunks);
     EXPECT_EQ(prog.chunksDone, chunks);
     EXPECT_EQ(prog.readSubs, chunks);    // one mirror read per chunk

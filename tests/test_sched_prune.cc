@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -213,14 +212,6 @@ TEST(SchedPrune, CrossCheckRunsAndStaysSilent)
 // Deep-queue golden determinism across thread counts
 // ---------------------------------------------------------------
 
-const char *kGoldenRelPath = "/tests/golden/determinism_deepq.csv";
-
-std::string
-goldenPath()
-{
-    return std::string(IDP_SOURCE_DIR) + kGoldenRelPath;
-}
-
 /** A saturating scenario whose window stays at 256 for most of the
  *  run, exercising the pruned path hard; summarized as CSV. */
 std::string
@@ -251,24 +242,7 @@ runDeepScenario(unsigned threads)
 
 TEST(SchedPruneGolden, DeepQueueScenarioMatchesGoldenFile)
 {
-    const std::string measured = runDeepScenario(1);
-
-    if (config::resolveEnv().updateGolden) {
-        std::ofstream os(goldenPath());
-        ASSERT_TRUE(os) << "cannot write " << goldenPath();
-        os << measured;
-        GTEST_SKIP() << "golden file refreshed: " << goldenPath();
-    }
-
-    std::ifstream is(goldenPath());
-    ASSERT_TRUE(is) << "missing golden file " << goldenPath()
-                    << " — generate it with IDP_UPDATE_GOLDEN=1";
-    std::stringstream golden;
-    golden << is.rdbuf();
-    EXPECT_EQ(golden.str(), measured)
-        << "pruned dispatch drifted from " << goldenPath()
-        << "\nIf this change is intentional, refresh with "
-           "IDP_UPDATE_GOLDEN=1 and review the diff.";
+    test::expectGolden("determinism_deepq.csv", runDeepScenario(1));
 }
 
 TEST(SchedPruneGolden, ThreadCountIsUnobservable)

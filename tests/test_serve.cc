@@ -12,11 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "config/env.hh"
+#include "rig.hh"
 #include "serve/service_loop.hh"
 #include "serve/think_wheel.hh"
 #include "sim/rng.hh"
@@ -663,26 +663,7 @@ goldenServeCsv(unsigned threads)
 
 TEST(ServeDeterminismGolden, SnapshotCsvMatchesGoldenFile)
 {
-    const std::string path = std::string(IDP_SOURCE_DIR) +
-        "/tests/golden/determinism_serve.csv";
-    const std::string measured = goldenServeCsv(1);
-
-    if (config::resolveEnv().updateGolden) {
-        std::ofstream os(path);
-        ASSERT_TRUE(os) << "cannot write " << path;
-        os << measured;
-        GTEST_SKIP() << "golden file refreshed: " << path;
-    }
-
-    std::ifstream is(path);
-    ASSERT_TRUE(is) << "missing golden file " << path
-                    << " — generate it with IDP_UPDATE_GOLDEN=1";
-    std::stringstream golden;
-    golden << is.rdbuf();
-    EXPECT_EQ(golden.str(), measured)
-        << "serving snapshots drifted from the golden file.\nIf "
-           "intentional, refresh with IDP_UPDATE_GOLDEN=1 and review "
-           "the diff.";
+    test::expectGolden("determinism_serve.csv", goldenServeCsv(1));
 }
 
 TEST(ServeDeterminismGolden, SnapshotCsvIsThreadCountInvariant)

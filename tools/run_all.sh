@@ -65,9 +65,12 @@ if [ "$ran" -eq 0 ]; then
     exit 1
 fi
 echo "All outputs written to results/."
-# micro_simcore / fig8_raid also refresh the machine-readable perf
-# trajectory (BENCH_kernel.json / BENCH_raid.json) in the repo root —
-# or in $IDP_BENCH_OUT when set. See docs/performance.md.
-for j in BENCH_*.json; do
-    [ -f "$j" ] && echo "Perf trajectory refreshed: $j"
+# Six benches also write an idp-bench-v1 report (BENCH_<name>.json)
+# into $IDP_BENCH_OUT, or the repo root. Reports are not committed;
+# CI's bench-smoke job uploads its own as the bench-json artifact.
+# See docs/performance.md.
+for j in "${IDP_BENCH_OUT:-.}"/BENCH_*.json; do
+    [ -f "$j" ] && echo "Bench report: $j"
 done
+echo "Check the reports with tools/bench_check.py ${IDP_BENCH_OUT:-.}/BENCH_*.json"
+echo "(CI's bench-smoke job uploads smoke-scale reports as the bench-json artifact.)"

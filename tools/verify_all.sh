@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full correctness audit: build with the invariant checker compiled in,
-# run the complete test suite (oracles, fuzz, golden determinism) with
+# run the complete test suite (closed forms, fuzz, golden determinism) with
 # the checker hot, then drive every figure bench at reduced request
 # counts — still under the checker — so the exact code paths that
 # generate the paper's numbers are swept for invariant violations.
@@ -10,7 +10,7 @@
 #   IDP_REQUESTS   per-bench request override for the bench sweep
 #                  (default 4000; the test suite always runs full).
 #
-# Exits non-zero on the first violation, test failure, or oracle miss.
+# Exits non-zero on the first violation or test failure.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -43,4 +43,4 @@ for b in build/bench/*; do
     IDP_VERIFY=1 IDP_REQUESTS="$REQUESTS" IDP_BENCH_OUT="$BENCH_OUT" \
         "$b" > /dev/null
 done
-echo "verify_all.sh: all tests, oracles, and benches clean."
+echo "verify_all.sh: all tests and benches clean."
