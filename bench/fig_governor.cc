@@ -268,16 +268,14 @@ runDiurnal(const core::SystemConfig &config, std::uint64_t tenants,
 // ---------------------------------------------------------------
 
 std::uint64_t
-governorSteadyAllocs(const config::Env &env)
+governorSteadyAllocs()
 {
     sim::Simulator simul;
     // Pre-size the calendar: the event slab / free-list / heap grow
     // geometrically on first use, and a late doubling would be
     // misattributed to the governor path under test.
     simul.reserveEvents(64);
-    disk::DriveSpec spec = memberDrive(7200);
-    env.apply(spec);
-    disk::DiskDrive drive(simul, spec,
+    disk::DiskDrive drive(simul, memberDrive(7200),
                           [](const workload::IoRequest &, sim::Tick,
                              const disk::ServiceInfo &) {});
     power::GovernorParams g = governorParams(50.0, 0.5, 0.2);
@@ -511,7 +509,7 @@ main()
 
     table.print(std::cout);
 
-    const std::uint64_t steady_allocs = governorSteadyAllocs(env);
+    const std::uint64_t steady_allocs = governorSteadyAllocs();
     report.add("governor_steady_allocs",
                static_cast<double>(steady_allocs), "allocs");
     report.add("governor_ok", governor_ok ? 1.0 : 0.0, "bool");

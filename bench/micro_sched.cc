@@ -1,14 +1,13 @@
 /**
  * @file
- * Scheduler-dispatch bench: pruned vs exhaustive SPTF cost.
+ * Scheduler-dispatch bench: SPTF cost at deep windows.
  *
  * Runs a 4-actuator drive under a closed-loop random read load at
- * fixed queue depths and reports, per depth, how many candidates per
- * dispatch the pruned cylinder-indexed scan actually priced against
- * the nominal window x arms cross product the exhaustive scan pays,
- * plus end-to-end dispatch throughput and steady-state allocations
- * per dispatch (which must be zero: the index is intrusive and all
- * scratch is reused). Emits BENCH_sched.json (idp-bench-v1).
+ * fixed queue depths and reports, per depth, the candidates each
+ * dispatch priced (the window x arms cross product), end-to-end
+ * dispatch throughput and steady-state allocations per dispatch
+ * (which must be zero: the window and pricing scratch are reused).
+ * Emits BENCH_sched.json (idp-bench-v1).
  */
 
 #include <chrono>
@@ -31,7 +30,6 @@ struct LoadResult
 {
     double selections = 0.0;
     double priced = 0.0;
-    double pruned = 0.0;
     double dispatches = 0.0;
     double secs = 0.0;
     double allocs = 0.0;
@@ -44,15 +42,12 @@ struct LoadResult
  * window excludes the first half (warmup: pool growth, cache fill).
  */
 LoadResult
-runLoad(const config::Env &env, std::uint32_t depth, bool prune,
-        std::uint64_t total)
+runLoad(std::uint32_t depth, std::uint64_t total)
 {
     disk::DriveSpec spec =
         disk::makeIntraDiskParallel(disk::barracudaEs750(), 4);
     spec.sched.policy = sched::Policy::Sptf;
     spec.schedWindow = depth;
-    spec.schedPrune = prune;
-    env.apply(spec);
 
     sim::Simulator simul;
     sim::Rng rng(0x5C4ED);
@@ -98,7 +93,6 @@ runLoad(const config::Env &env, std::uint32_t depth, bool prune,
 
     const double sel0 = static_cast<double>(st.selections);
     const double priced0 = static_cast<double>(st.candidatesPriced);
-    const double pruned0 = static_cast<double>(st.candidatesPruned);
     const double disp0 = static_cast<double>(st.mediaAccesses);
     const std::uint64_t allocs0 = benchjson::allocCount();
     const auto t0 = Clock::now();
@@ -113,7 +107,6 @@ runLoad(const config::Env &env, std::uint32_t depth, bool prune,
     LoadResult r;
     r.selections = static_cast<double>(st.selections) - sel0;
     r.priced = static_cast<double>(st.candidatesPriced) - priced0;
-    r.pruned = static_cast<double>(st.candidatesPruned) - pruned0;
     r.dispatches = static_cast<double>(st.mediaAccesses) - disp0;
     r.secs = std::chrono::duration<double>(t1 - t0).count();
     r.allocs = static_cast<double>(allocs1 - allocs0);
@@ -133,35 +126,20 @@ main()
     const std::uint32_t depths[] = {16, 64, 256};
     for (const std::uint32_t depth : depths) {
         const std::uint64_t total = smoke ? 2400 : 40000;
-        const LoadResult pruned = runLoad(env, depth, true, total);
-        const LoadResult full = runLoad(env, depth, false, total);
+        const LoadResult r = runLoad(depth, total);
         const std::string q = "_q" + std::to_string(depth);
 
         report.add("sptf_priced_per_dispatch" + q,
-                   pruned.priced / pruned.selections,
-                   "candidates/dispatch");
-        report.add("sptf_exhaustive_per_dispatch" + q,
-                   full.priced / full.selections,
-                   "candidates/dispatch");
-        report.add("sptf_prune_ratio" + q,
-                   (full.priced / full.selections) /
-                       (pruned.priced / pruned.selections),
-                   "x");
+                   r.priced / r.selections, "candidates/dispatch");
         report.add("sched_dispatches_per_sec" + q,
-                   pruned.dispatches / pruned.secs, "dispatches/s");
+                   r.dispatches / r.secs, "dispatches/s");
         report.add("sched_allocs_per_dispatch" + q,
-                   pruned.allocs / pruned.dispatches,
-                   "allocs/dispatch");
+                   r.allocs / r.dispatches, "allocs/dispatch");
 
-        std::printf("SPTF q=%-3u: priced %.1f vs exhaustive %.1f "
-                    "candidates/dispatch (%.1fx pruned), "
+        std::printf("SPTF q=%-3u: priced %.1f candidates/dispatch, "
                     "%.0f dispatches/s, %.0f allocs/dispatch\n",
-                    depth, pruned.priced / pruned.selections,
-                    full.priced / full.selections,
-                    (full.priced / full.selections) /
-                        (pruned.priced / pruned.selections),
-                    pruned.dispatches / pruned.secs,
-                    pruned.allocs / pruned.dispatches);
+                    depth, r.priced / r.selections,
+                    r.dispatches / r.secs, r.allocs / r.dispatches);
     }
 
     report.write(env.benchOut);

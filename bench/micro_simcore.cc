@@ -119,9 +119,8 @@ void
 driveServiceOnce(std::uint32_t arms)
 {
     sim::Simulator simul;
-    disk::DriveSpec spec = disk::makeIntraDiskParallel(
+    const disk::DriveSpec spec = disk::makeIntraDiskParallel(
         disk::enterpriseDrive(2.0, 10000, 2), arms);
-    g_env.apply(spec);
     std::uint64_t done = 0;
     disk::DiskDrive drive(
         simul, spec,
@@ -229,9 +228,8 @@ emitKernelReport()
         // End-to-end drive service: 512 random reads per round on a
         // persistent 4-arm drive.
         sim::Simulator simul;
-        disk::DriveSpec spec = disk::makeIntraDiskParallel(
+        const disk::DriveSpec spec = disk::makeIntraDiskParallel(
             disk::enterpriseDrive(2.0, 10000, 2), 4);
-        g_env.apply(spec);
         std::uint64_t done = 0;
         disk::DiskDrive drive(
             simul, spec,

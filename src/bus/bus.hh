@@ -49,15 +49,6 @@ struct BusStats
     std::uint64_t bytesMoved = 0;
     sim::Tick busyTicks = 0;  ///< sum over channels
     sim::Tick queueTicks = 0; ///< time transfers waited for a channel
-
-    double
-    meanQueueMs() const
-    {
-        return transfers
-            ? sim::ticksToMs(queueTicks) /
-                static_cast<double>(transfers)
-            : 0.0;
-    }
 };
 
 /**

@@ -82,8 +82,6 @@ const std::vector<EnvVar> kTable = {
      }},
     {"IDP_VERIFY", K::Switch, D::Any, nullptr, "on",
      "runtime invariant checker", set<&Env::checkInvariants>},
-    {"IDP_SCHED_PRUNE", K::Switch, D::Any, nullptr, "on",
-     "off forces exhaustive scheduler scans", set<&Env::schedPrune>},
     {"IDP_REPLICA", K::Name, D::Any, "queue|position|positioning",
      "the array's", "RAID-1 read replica policy",
      [](Env &e, double, const std::string &t) {
@@ -245,13 +243,6 @@ Env::apply(array::ArrayParams &params) const
     g.sloP99Ms = governorSloMs.value_or(g.sloP99Ms);
     g.minDwellMs = governorDwellMs.value_or(g.minDwellMs);
     g.parkKeepArms = governorPark.value_or(g.parkKeepArms);
-    apply(params.drive);
-}
-
-void
-Env::apply(disk::DriveSpec &spec) const
-{
-    spec.schedPrune = spec.schedPrune && schedPrune;
 }
 
 void

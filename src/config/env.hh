@@ -60,7 +60,6 @@ struct Env
     unsigned pdesWorkers = 0;    ///< IDP_PDES_WORKERS; 0 = threads
     telemetry::TraceOptions tracing; ///< IDP_TRACE, _SAMPLE, _BUF
     bool checkInvariants = verify::kCompiledIn; ///< IDP_VERIFY
-    bool schedPrune = true;      ///< IDP_SCHED_PRUNE
 
     // -- overrides of a configured value (apply) ------------------------
     std::optional<array::ReplicaPolicy> replica; ///< IDP_REPLICA
@@ -95,11 +94,8 @@ struct Env
      *  explicitly: the knobs override the array's own settings, and
      *  an explicit run mode overrides the knobs. */
     void apply(core::SystemConfig &config) const;
-    /** Replica policy, governor overrides and the drive knobs. */
+    /** Replica policy and governor overrides. */
     void apply(array::ArrayParams &params) const;
-    /** IDP_SCHED_PRUNE=0 turns pruned dispatch off; it never turns
-     *  it on. */
-    void apply(disk::DriveSpec &spec) const;
     void apply(array::RebuildParams &params) const;
     void apply(serve::ServeParams &params) const;
 };

@@ -54,27 +54,18 @@ DiskDrive::DiskDrive(sim::Simulator &simul, const DriveSpec &spec,
          {"cache.write_absorbed", &cs.writeHits},
          {"cache.write_through", &cs.writeMisses},
          {"sched.selections", &stats_.selections},
-         {"sched.candidates_seen", &stats_.candidatesPriced},
-         {"sched.candidates_seen", &stats_.candidatesPruned},
-         {"sched.candidates_priced", &stats_.candidatesPriced},
-         {"sched.candidates_pruned", &stats_.candidatesPruned}});
+         {"sched.candidates_priced", &stats_.candidatesPriced}});
     headSwitchTicks_ = sim::msToTicks(spec_.headSwitchMs);
     controllerTicks_ = sim::msToTicks(spec_.controllerOverheadMs);
     faultRng_ = sim::Rng(spec_.faultSeed);
     window_.reserve(spec_.schedWindow);
     idleArms_.reserve(n);
-    priced_.reserve(2 * static_cast<std::size_t>(spec_.schedWindow) * n);
-    fgList_.index.configure(geometry_.cylinders());
-    bgList_.index.configure(geometry_.cylinders());
-    // FCFS keys on age alone — nothing for a cylinder index to
-    // prune — so it keeps the materialized exhaustive path.
-    schedIndexed_ =
-        spec_.schedPrune && spec_.sched.policy != sched::Policy::Fcfs;
+    priced_.reserve(static_cast<std::size_t>(spec_.schedWindow) * n);
     oracle_ = [this](const sched::PendingView &r,
                      const sched::ArmView &a) {
         return pricePositioning(r, a);
     };
-    estServiceTicks_ = seekLbTicks(geometry_.cylinders() / 3) +
+    estServiceTicks_ = readSeekTicks(geometry_.cylinders() / 3) +
         spindle_.periodTicks() / 2;
     desiredRpm_ = spec_.rpm;
     // The geometry builder tapers sectors/track linearly from the
@@ -99,7 +90,7 @@ DiskDrive::readPriceTicks(geom::Lba lba, std::uint32_t sectors) const
         const std::uint32_t cyl = arms_[k].cylinder;
         const std::uint32_t dist =
             cyl > chs.cylinder ? cyl - chs.cylinder : chs.cylinder - cyl;
-        const sim::Tick seek = seekLbTicks(dist);
+        const sim::Tick seek = readSeekTicks(dist);
         const sim::Tick rot = armRotWaitAngle(now + seek, angle, k);
         best = std::min(best, seek + rot);
     }
@@ -261,7 +252,7 @@ DiskDrive::applyRpm(sim::Tick now, std::uint32_t rpm)
     spindle_.setRpm(now, rpm);
     modes_.rpmChange(now, rpm);
     // Re-derive every period-derived constant cached across the run.
-    estServiceTicks_ = seekLbTicks(geometry_.cylinders() / 3) +
+    estServiceTicks_ = readSeekTicks(geometry_.cylinders() / 3) +
         spindle_.periodTicks() / 2;
 }
 
@@ -352,13 +343,8 @@ DiskDrive::scaledSeek(std::uint32_t from, std::uint32_t to,
 }
 
 sim::Tick
-DiskDrive::seekLbTicks(std::uint32_t dist) const
+DiskDrive::readSeekTicks(std::uint32_t dist) const
 {
-    if (dist == 0)
-        return 0;
-    // Read seek at that distance: admissible because a write seek
-    // only adds settle time and the rotational wait is >= 0, and
-    // monotone because the seek curve is.
     const sim::Tick raw = seekModel_.seekTicks(dist, false);
     return static_cast<sim::Tick>(static_cast<double>(raw) *
                                   spec_.seekScale);
@@ -447,8 +433,6 @@ DiskDrive::allocPending(const workload::IoRequest &req, bool internal)
     if (pendingFree_.empty()) {
         slot = static_cast<std::uint32_t>(pendingPool_.size());
         pendingPool_.emplace_back();
-        fgList_.index.ensureSlots(pendingPool_.size());
-        bgList_.index.ensureSlots(pendingPool_.size());
         // The free list can hold every slot (drain phases); grow its
         // capacity here so releasePending never allocates. It follows
         // the arena's geometric capacity, not its size, so a run whose
@@ -467,8 +451,6 @@ DiskDrive::allocPending(const workload::IoRequest &req, bool internal)
     p.internal = internal;
     p.next = kNilSlot;
     p.prev = kNilSlot;
-    p.seq = 0;
-    p.inWindow = false;
     return slot;
 }
 
@@ -493,34 +475,12 @@ DiskDrive::listPushBack(PendingList &list, std::uint32_t slot)
         list.head = slot;
     list.tail = slot;
     ++list.size;
-    p.seq = ++enqueueSeq_;
-    // The window is a list prefix: an appended slot joins it exactly
-    // when the window is not yet full — then the whole list was
-    // windowed, so the new tail extends the prefix.
-    if (list.windowCount < spec_.schedWindow) {
-        p.inWindow = true;
-        ++list.windowCount;
-        list.windowTail = slot;
-        if (schedIndexed_)
-            list.index.insert(slot, p.cylinder);
-    } else {
-        p.inWindow = false;
-    }
 }
 
 void
 DiskDrive::listUnlink(PendingList &list, std::uint32_t slot)
 {
     Pending &p = pendingPool_[slot];
-    const bool was_window = p.inWindow;
-    if (was_window) {
-        if (schedIndexed_)
-            list.index.remove(slot);
-        p.inWindow = false;
-        --list.windowCount;
-        if (list.windowTail == slot)
-            list.windowTail = p.prev;
-    }
     if (p.prev != kNilSlot)
         pendingPool_[p.prev].next = p.next;
     else
@@ -532,22 +492,6 @@ DiskDrive::listUnlink(PendingList &list, std::uint32_t slot)
     p.next = kNilSlot;
     p.prev = kNilSlot;
     --list.size;
-    if (was_window) {
-        // A removal inside the window promotes the first entry beyond
-        // it (the window tail's successor; the new head when the
-        // removed slot was the only window member).
-        const std::uint32_t succ = list.windowTail == kNilSlot
-            ? list.head
-            : pendingPool_[list.windowTail].next;
-        if (succ != kNilSlot) {
-            Pending &q = pendingPool_[succ];
-            q.inWindow = true;
-            ++list.windowCount;
-            list.windowTail = succ;
-            if (schedIndexed_)
-                list.index.insert(succ, q.cylinder);
-        }
-    }
 }
 
 std::uint32_t
@@ -611,15 +555,6 @@ DiskDrive::pricePositioning(const sched::PendingView &req,
     const sim::Tick rot =
         armRotWaitAngle(sim_.now() + seek, p.sectorAngle, arm.index);
     priced_.push_back({req.slot, arm.index, seek, rot});
-    if (verify::activeChecker() != nullptr) {
-        // The pruning / horizon lower bound must never exceed the
-        // exact positioning price, including mid-RPM-ramp.
-        const std::uint32_t dist = arm.cylinder > p.cylinder
-            ? arm.cylinder - p.cylinder
-            : p.cylinder - arm.cylinder;
-        verify::onPositioningBound(telemetryId_, seekLbTicks(dist),
-                                   seek + rot);
-    }
     return seek + rot;
 }
 
@@ -790,30 +725,26 @@ DiskDrive::tryDispatch()
         // is pending — the freeblock-scheduling role the paper's
         // Section 5 assigns to spare arms.
         PendingList &source = fgList_.size == 0 ? bgList_ : fgList_;
-        sched::Choice choice;
-        priced_.clear();
-        windowIndex_.bind(this, &source);
-        if (schedIndexed_) {
-            // Pruned path: hand the scheduler the incrementally
-            // maintained cylinder index over the window — no window
-            // materialization, and only candidates the admissible
-            // seek bound cannot exclude are priced.
-            choice = scheduler_->selectIndexed(idleArms_, oracle_,
-                                               sim_.now(),
-                                               windowIndex_);
-        } else {
-            // Exhaustive path: materialize the scheduling window
-            // (oldest first).
-            windowIndex_.materializeWindow(window_);
-            choice = scheduler_->select(window_, idleArms_, oracle_,
-                                        sim_.now());
+        // The scheduling window: the oldest min(size, schedWindow)
+        // requests, oldest first.
+        window_.clear();
+        for (std::uint32_t s = source.head;
+             s != kNilSlot && window_.size() < spec_.schedWindow;
+             s = pendingPool_[s].next) {
+            const Pending &p = pendingPool_[s];
+            window_.push_back(
+                {s, p.req.lba, p.cylinder, p.req.arrival, p.req.isRead});
         }
-        const sched::SelectWork work = scheduler_->lastWork();
+        priced_.clear();
+        const sched::Choice choice = scheduler_->select(
+            window_, idleArms_, oracle_, sim_.now());
         ++stats_.selections;
-        stats_.candidatesPriced += work.priced;
-        stats_.candidatesPruned += work.pruned;
+        stats_.candidatesPriced += scheduler_->lastWork().priced;
+        // A queued slot: linked behind another, or the source's head
+        // (free slots are unlinked).
         sim::simAssert(choice.slot < pendingPool_.size() &&
-                           pendingPool_[choice.slot].inWindow,
+                           (pendingPool_[choice.slot].prev != kNilSlot ||
+                            source.head == choice.slot),
                        "disk: scheduler chose bad slot");
         sim::simAssert(choice.arm < arms_.size() &&
                            !arms_[choice.arm].busy,
@@ -1230,104 +1161,6 @@ stats::ModeTimes
 DiskDrive::modeTimesSnapshot() const
 {
     return modes_.snapshot(sim_.now());
-}
-
-sim::Tick
-DiskDrive::WindowIndex::seekLowerBound(std::uint32_t dist) const
-{
-    return drive_->seekLbTicks(dist);
-}
-
-sim::Tick
-DiskDrive::WindowIndex::maxQueueWait(sim::Tick now) const
-{
-    // The FIFO head is the oldest window member, but coalescing can
-    // unlink mid-list, so walk the (bounded) window prefix.
-    sim::Tick max_wait = 0;
-    for (std::uint32_t s = list_->head;
-         s != kNilSlot && drive_->pendingPool_[s].inWindow;
-         s = drive_->pendingPool_[s].next) {
-        const sim::Tick arrival = drive_->pendingPool_[s].req.arrival;
-        const sim::Tick wait = now - std::min(now, arrival);
-        if (wait > max_wait)
-            max_wait = wait;
-    }
-    return max_wait;
-}
-
-void
-DiskDrive::WindowIndex::beginScan(std::uint32_t cylinder)
-{
-    scan_ = list_->index.beginScan(cylinder);
-}
-
-bool
-DiskDrive::WindowIndex::nextBand(
-    std::uint32_t &min_dist,
-    std::vector<sched::IndexedCandidate> &members)
-{
-    std::uint32_t bucket = CylinderBuckets::kNil;
-    if (!list_->index.nextBucket(scan_, bucket, min_dist))
-        return false;
-    members.clear();
-    for (std::uint32_t s = list_->index.head(bucket);
-         s != CylinderBuckets::kNil; s = list_->index.next(s)) {
-        const Pending &p = drive_->pendingPool_[s];
-        members.push_back({{s, p.req.lba, p.cylinder, p.req.arrival,
-                            p.req.isRead},
-                           p.seq});
-        ++visited_;
-    }
-    return true;
-}
-
-bool
-DiskDrive::WindowIndex::firstAtOrAbove(std::uint32_t cylinder,
-                                       sched::IndexedCandidate &out)
-{
-    const CylinderBuckets &index = list_->index;
-    std::uint32_t bucket =
-        index.firstOccupiedAtOrAbove(index.bucketOf(cylinder));
-    while (bucket != CylinderBuckets::kNil) {
-        // Buckets partition the cylinder range in ascending order, so
-        // the first bucket with a qualifying member holds the answer;
-        // only the starting bucket can mix members below @p cylinder.
-        bool have = false;
-        for (std::uint32_t s = index.head(bucket);
-             s != CylinderBuckets::kNil; s = index.next(s)) {
-            const Pending &p = drive_->pendingPool_[s];
-            ++visited_;
-            if (p.cylinder < cylinder)
-                continue;
-            if (!have || p.cylinder < out.view.cylinder ||
-                (p.cylinder == out.view.cylinder &&
-                 p.seq < out.order)) {
-                out = {{s, p.req.lba, p.cylinder, p.req.arrival,
-                        p.req.isRead},
-                       p.seq};
-                have = true;
-            }
-        }
-        if (have)
-            return true;
-        bucket = index.firstOccupiedAtOrAbove(bucket + 1);
-    }
-    return false;
-}
-
-void
-DiskDrive::WindowIndex::materializeWindow(
-    std::vector<sched::PendingView> &out) const
-{
-    out.clear();
-    for (std::uint32_t s = list_->head; s != kNilSlot;
-         s = drive_->pendingPool_[s].next) {
-        const Pending &p = drive_->pendingPool_[s];
-        if (!p.inWindow)
-            break;
-        out.push_back(
-            {s, p.req.lba, p.cylinder, p.req.arrival, p.req.isRead});
-    }
 }
 
 } // namespace disk

@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "cache/disk_cache.hh"
-#include "disk/cyl_index.hh"
 #include "disk/drive_config.hh"
 #include "geom/geometry.hh"
 #include "mech/seek_model.hh"
@@ -99,10 +98,9 @@ struct DriveStats
     /** Transfers that found the channel budget spent and waited. */
     std::uint64_t channelBlocks = 0;
     /** Scheduler work: selections, and the candidates each one priced
-     *  or pruned (sched::IoScheduler::lastWork). */
+     *  (sched::IoScheduler::lastWork). */
     std::uint64_t selections = 0;
     std::uint64_t candidatesPriced = 0;
-    std::uint64_t candidatesPruned = 0;
 
     /** Moments only: no caller reads a per-drive quantile. */
     stats::SampleSet responseMs{stats::SampleSet::kMomentsOnly};
@@ -230,7 +228,6 @@ class DiskDrive
     const DriveStats &stats() const { return stats_; }
     const DriveSpec &spec() const { return spec_; }
     const geom::DiskGeometry &geometry() const { return geometry_; }
-    const mech::SeekModel &seekModel() const { return seekModel_; }
     const mech::Spindle &spindle() const { return spindle_; }
     const cache::DiskCache &diskCache() const { return cache_; }
 
@@ -341,34 +338,15 @@ class DiskDrive
         bool internal = false; ///< destage traffic, not reported
         std::uint32_t next = kNilSlot;
         std::uint32_t prev = kNilSlot;
-        /**
-         * Drive-wide monotone enqueue stamp. The FIFO is append-only
-         * with order-preserving unlinks, so ascending seq *is* the
-         * queue order — the schedulers' cost tie-break key, replacing
-         * the window position the exhaustive scan ties on.
-         */
-        std::uint64_t seq = 0;
-        /** Member of the first min(size, schedWindow) list prefix. */
-        bool inWindow = false;
     };
 
-    /**
-     * Intrusive FIFO over arena slots (head = oldest). The scheduling
-     * window — the first min(size, schedWindow) entries — is tracked
-     * incrementally: windowTail/windowCount move O(1) per push and
-     * unlink (an unlink inside the window promotes the first entry
-     * beyond it), and the cylinder index mirrors exactly the window
-     * members, so dispatch never walks or materializes the prefix.
-     */
+    /** Intrusive FIFO over arena slots (head = oldest). The scheduling
+     *  window is its first min(size, schedWindow) entries. */
     struct PendingList
     {
         std::uint32_t head = kNilSlot;
         std::uint32_t tail = kNilSlot;
         std::size_t size = 0;
-        std::uint32_t windowTail = kNilSlot;
-        std::uint32_t windowCount = 0;
-        /** Cylinder-bucketed window members (indexed dispatch only). */
-        CylinderBuckets index;
     };
 
     /** One (pending slot, arm) pair the oracle priced during the
@@ -468,47 +446,6 @@ class DiskDrive
         bool parked = false; ///< power-managed; reversible
     };
 
-    /**
-     * Adapter the indexed dispatch path hands to
-     * IoScheduler::selectIndexed: the source list's cylinder buckets
-     * plus this drive's seek curve as the admissible lower bound.
-     * Bound per selection (bind()), so one instance serves both
-     * pending lists with zero per-dispatch allocation.
-     */
-    class WindowIndex final : public sched::CylinderIndex
-    {
-      public:
-        void
-        bind(DiskDrive *drive, const PendingList *list)
-        {
-            drive_ = drive;
-            list_ = list;
-            visited_ = 0;
-        }
-
-        std::size_t windowSize() const override
-        {
-            return list_->windowCount;
-        }
-        sim::Tick seekLowerBound(std::uint32_t dist) const override;
-        sim::Tick maxQueueWait(sim::Tick now) const override;
-        void beginScan(std::uint32_t cylinder) override;
-        bool nextBand(std::uint32_t &min_dist,
-                      std::vector<sched::IndexedCandidate> &members)
-            override;
-        bool firstAtOrAbove(std::uint32_t cylinder,
-                            sched::IndexedCandidate &out) override;
-        void materializeWindow(
-            std::vector<sched::PendingView> &out) const override;
-        std::uint64_t visited() const override { return visited_; }
-
-      private:
-        DiskDrive *drive_ = nullptr;
-        const PendingList *list_ = nullptr;
-        CylinderBuckets::Scan scan_;
-        std::uint64_t visited_ = 0;
-    };
-
     sim::Simulator &sim_;
     DriveSpec spec_;
     geom::DiskGeometry geometry_;
@@ -534,20 +471,13 @@ class DiskDrive
     std::size_t activeCount_ = 0;
 
     /** What the oracle priced in the current selection (reserved
-     *  for two full window x arms scans: a verify cross-check
-     *  re-prices the window). */
+     *  for one full window x arms scan). */
     std::vector<Priced> priced_;
 
     /** Reused per-dispatch scratch (no per-dispatch allocations). */
     std::vector<sched::PendingView> window_;
     std::vector<sched::ArmView> idleArms_;
     sched::PositioningFn oracle_;
-    WindowIndex windowIndex_;
-    /** Monotone enqueue stamp feeding Pending::seq. */
-    std::uint64_t enqueueSeq_ = 0;
-    /** Dispatch through the cylinder index (policy supports it and
-     *  spec_.schedPrune is set). */
-    bool schedIndexed_ = false;
 
     WaiterRing channelWaiters_; // FIFO of in-flight ids
 
@@ -647,14 +577,9 @@ class DiskDrive
 
     sim::Tick scaledSeek(std::uint32_t from, std::uint32_t to,
                          bool is_write) const;
-    /**
-     * Admissible positioning lower bound at cylinder distance
-     * @p dist: the scaled read seek with zero rotational wait —
-     * exactly the seek half scaledSeek() computes for that distance,
-     * so it never exceeds what pricePositioning() can return
-     * (writes only add settle time; rotation only adds wait).
-     */
-    sim::Tick seekLbTicks(std::uint32_t dist) const;
+    /** The scaled read seek at cylinder distance @p dist (what
+     *  scaledSeek() returns for a read; 0 at distance 0). */
+    sim::Tick readSeekTicks(std::uint32_t dist) const;
     sim::Tick scaledRotWait(sim::Tick at, const geom::Chs &chs,
                             double azimuth) const;
     /** scaledRotWait with the sector angle already resolved. */

@@ -68,16 +68,6 @@ struct DriveSpec
     /** Scheduling policy and pending-window bound. */
     sched::SchedulerParams sched;
     std::uint32_t schedWindow = 48;
-    /**
-     * Dispatch through the incrementally maintained cylinder index
-     * with admissible lower-bound pruning (selects the byte-identical
-     * pair the exhaustive scan would, in O(priced) oracle calls
-     * instead of O(window x arms)). Off forces the exhaustive scan
-     * (IDP_SCHED_PRUNE=0 turns it off for every drive a main builds):
-     * for A/B timing and for bisecting any suspected pruned-vs-
-     * exhaustive divergence; results are identical either way.
-     */
-    bool schedPrune = true;
 
     /**
      * Explicit chassis azimuths (revolutions) for each arm assembly;

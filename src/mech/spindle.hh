@@ -68,9 +68,6 @@ class Spindle
     /** Segments so far (1 until the first setRpm). */
     std::uint32_t segmentCount() const { return segments_; }
 
-    /** Start tick of the current segment. */
-    sim::Tick segmentStart() const { return segStart_; }
-
     /** Rotation angle at time @p t, in revolutions [0, 1). @p t must
      *  not precede the current segment's start. */
     double rotationAt(sim::Tick t) const;

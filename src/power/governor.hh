@@ -148,15 +148,6 @@ class Governor
 
     const GovernorStats &stats() const { return stats_; }
 
-    /** Last evaluated window p99 (ms; 0 when the window was empty). */
-    double windowP99Ms() const { return windowP99_; }
-
-    /** Current RPM level index of drive @p i (0 = top). */
-    std::size_t levelIndex(std::size_t i) const
-    {
-        return perDrive_[i].levelIdx;
-    }
-
     const std::vector<std::uint32_t> &levels() const { return levels_; }
 
   private:

@@ -5,19 +5,9 @@
 #include <limits>
 
 #include "sim/logging.hh"
-#include "verify/verify.hh"
 
 namespace idp {
 namespace sched {
-
-Choice
-IoScheduler::selectIndexed(const std::vector<ArmView> &arms,
-                           const PositioningFn &cost, sim::Tick now,
-                           CylinderIndex &index)
-{
-    index.materializeWindow(windowScratch_);
-    return select(windowScratch_, arms, cost, now);
-}
 
 namespace {
 
@@ -54,52 +44,6 @@ cheapestArm(const PendingView &req, const std::vector<ArmView> &arms,
     for (std::uint32_t i = 0; i < arms.size(); ++i) {
         const sim::Tick c = cost(req, arms[i]);
         if (c < best_cost) {
-            best_cost = c;
-            best = i;
-        }
-    }
-    return best;
-}
-
-/**
- * Pruned cheapestArm: price arms in nondecreasing cylinder-distance
- * order and stop once the admissible seek lower bound at an arm's
- * distance strictly exceeds the best exact cost (ties keep scanning:
- * an equal-cost arm with a lower index must still win, exactly as
- * the exhaustive loop's strict-improvement rule decides). Returns
- * the identical arm as cheapestArm(); @p priced counts oracle calls.
- */
-std::uint32_t
-cheapestArmPruned(const PendingView &req,
-                  const std::vector<ArmView> &arms,
-                  const PositioningFn &cost, const CylinderIndex &index,
-                  std::vector<std::uint32_t> &order,
-                  std::uint64_t &priced)
-{
-    order.clear();
-    for (std::uint32_t i = 0; i < arms.size(); ++i)
-        order.push_back(i);
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  const std::uint32_t da =
-                      cylDistance(arms[a].cylinder, req.cylinder);
-                  const std::uint32_t db =
-                      cylDistance(arms[b].cylinder, req.cylinder);
-                  return da != db ? da < db : a < b;
-              });
-    bool have = false;
-    std::uint32_t best = 0;
-    sim::Tick best_cost = 0;
-    for (const std::uint32_t i : order) {
-        const std::uint32_t d =
-            cylDistance(arms[i].cylinder, req.cylinder);
-        if (have && index.seekLowerBound(d) > best_cost)
-            break;
-        const sim::Tick c = cost(req, arms[i]);
-        ++priced;
-        if (!have || c < best_cost ||
-            (c == best_cost && i < best)) {
-            have = true;
             best_cost = c;
             best = i;
         }
@@ -173,23 +117,6 @@ pickSptf(const std::vector<PendingView> &pending,
     return {pending[best_req].slot, arms[best_arm].index};
 }
 
-/**
- * Sampled pruned-vs-exhaustive cross-check: every 64th indexed
- * selection (and always the first), when a checker is installed,
- * re-derives the choice from the materialized window with the
- * exhaustive reference pick and reports any divergence. The extra
- * oracle calls re-price pairs to exactly the values the first scan
- * produced, so a checked run stays byte-identical to an unchecked
- * one.
- */
-bool
-shouldCrossCheck(std::uint64_t &tick)
-{
-    if (verify::activeChecker() == nullptr)
-        return false;
-    return (tick++ % 64) == 0;
-}
-
 class FcfsScheduler : public IoScheduler
 {
   public:
@@ -198,7 +125,7 @@ class FcfsScheduler : public IoScheduler
            const std::vector<ArmView> &arms, const PositioningFn &cost,
            sim::Tick /*now*/) override
     {
-        work_ = {pending.size() + arms.size(), 0};
+        work_ = {pending.size() + arms.size()};
         // Oldest request; cheapest arm for it.
         std::size_t oldest = 0;
         for (std::size_t i = 1; i < pending.size(); ++i)
@@ -218,65 +145,9 @@ class SstfScheduler : public IoScheduler
            const std::vector<ArmView> &arms,
            const PositioningFn & /*cost*/, sim::Tick /*now*/) override
     {
-        work_ = {pending.size() * arms.size(), 0};
+        work_ = {pending.size() * arms.size()};
         return pickSstf(pending, arms);
     }
-
-    Choice
-    selectIndexed(const std::vector<ArmView> &arms,
-                  const PositioningFn & /*cost*/, sim::Tick /*now*/,
-                  CylinderIndex &index) override
-    {
-        // SSTF's cost metric *is* the cylinder distance, so the band
-        // distance itself is the admissible bound: once a band's
-        // minimum distance exceeds the best exact distance, no
-        // remaining candidate of this arm's scan can win.
-        bool have = false;
-        std::uint32_t best_dist = 0;
-        std::uint64_t best_order = 0;
-        std::uint32_t best_arm = 0;
-        std::uint32_t best_slot = 0;
-        std::uint64_t priced = 0;
-        for (std::uint32_t a = 0; a < arms.size(); ++a) {
-            index.beginScan(arms[a].cylinder);
-            std::uint32_t band_min = 0;
-            while (index.nextBand(band_min, band_)) {
-                if (have && band_min > best_dist)
-                    break;
-                for (const IndexedCandidate &c : band_) {
-                    ++priced;
-                    const std::uint32_t d = cylDistance(
-                        c.view.cylinder, arms[a].cylinder);
-                    if (!have || d < best_dist ||
-                        (d == best_dist &&
-                         (c.order < best_order ||
-                          (c.order == best_order && a < best_arm)))) {
-                        have = true;
-                        best_dist = d;
-                        best_order = c.order;
-                        best_arm = a;
-                        best_slot = c.view.slot;
-                    }
-                }
-            }
-        }
-        const std::uint64_t nominal =
-            static_cast<std::uint64_t>(index.windowSize()) *
-            arms.size();
-        work_ = {priced, nominal - std::min(nominal, priced)};
-        const Choice got{best_slot, arms[best_arm].index};
-        if (shouldCrossCheck(crossTick_)) {
-            index.materializeWindow(windowScratch_);
-            const Choice want = pickSstf(windowScratch_, arms);
-            verify::onSchedChoice("sstf", got.slot, got.arm, want.slot,
-                                  want.arm);
-        }
-        return got;
-    }
-
-  private:
-    std::vector<IndexedCandidate> band_;
-    std::uint64_t crossTick_ = 0;
 };
 
 class ClookScheduler : public IoScheduler
@@ -287,7 +158,7 @@ class ClookScheduler : public IoScheduler
            const std::vector<ArmView> &arms, const PositioningFn &cost,
            sim::Tick /*now*/) override
     {
-        work_ = {pending.size() + arms.size(), 0};
+        work_ = {pending.size() + arms.size()};
         // One-directional sweep: service the lowest cylinder at or
         // above the sweep position; wrap to the minimum when none.
         const std::size_t best = pickClookRequest(pending, sweep_);
@@ -296,42 +167,8 @@ class ClookScheduler : public IoScheduler
         return {pending[best].slot, arms[arm].index};
     }
 
-    Choice
-    selectIndexed(const std::vector<ArmView> &arms,
-                  const PositioningFn &cost, sim::Tick /*now*/,
-                  CylinderIndex &index) override
-    {
-        const std::uint32_t sweep_before = sweep_;
-        IndexedCandidate pick;
-        if (!index.firstAtOrAbove(sweep_, pick)) {
-            const bool any = index.firstAtOrAbove(0, pick);
-            sim::simAssert(any, "clook: empty window");
-        }
-        sweep_ = pick.view.cylinder;
-        std::uint64_t priced = 0;
-        const std::uint32_t arm = cheapestArmPruned(
-            pick.view, arms, cost, index, armOrder_, priced);
-        const std::uint64_t nominal = index.windowSize() + arms.size();
-        const std::uint64_t seen = index.visited() + priced;
-        work_ = {seen, nominal - std::min(nominal, seen)};
-        const Choice got{pick.view.slot, arms[arm].index};
-        if (shouldCrossCheck(crossTick_)) {
-            index.materializeWindow(windowScratch_);
-            const std::size_t want_req =
-                pickClookRequest(windowScratch_, sweep_before);
-            const std::uint32_t want_arm = cheapestArm(
-                windowScratch_[want_req], arms, cost);
-            verify::onSchedChoice("clook", got.slot, got.arm,
-                                  windowScratch_[want_req].slot,
-                                  arms[want_arm].index);
-        }
-        return got;
-    }
-
   private:
     std::uint32_t sweep_ = 0;
-    std::vector<std::uint32_t> armOrder_;
-    std::uint64_t crossTick_ = 0;
 };
 
 class SptfScheduler : public IoScheduler
@@ -347,93 +184,12 @@ class SptfScheduler : public IoScheduler
            const std::vector<ArmView> &arms, const PositioningFn &cost,
            sim::Tick now) override
     {
-        work_ = {pending.size() * arms.size(), 0};
+        work_ = {pending.size() * arms.size()};
         return pickSptf(pending, arms, cost, now, agingWeight_);
-    }
-
-    Choice
-    selectIndexed(const std::vector<ArmView> &arms,
-                  const PositioningFn &cost, sim::Tick now,
-                  CylinderIndex &index) override
-    {
-        // Aging credit: a request may undercut a pure-positioning
-        // bound by at most agingWeight * (longest wait in the
-        // window), so the admissible bound for SptfAged widens to
-        // seek_lb - credit. When the credit alone covers a
-        // full-stroke seek the widened bound can never cut anything;
-        // fall back to the exhaustive scan outright.
-        double credit = 0.0;
-        if (agingWeight_ > 0.0) {
-            credit = agingWeight_ *
-                static_cast<double>(index.maxQueueWait(now));
-            const double full_stroke = static_cast<double>(
-                index.seekLowerBound(
-                    std::numeric_limits<std::uint32_t>::max()));
-            if (credit >= full_stroke) {
-                index.materializeWindow(windowScratch_);
-                return select(windowScratch_, arms, cost, now);
-            }
-        }
-
-        bool have = false;
-        double best_eff = 0.0;
-        std::uint64_t best_order = 0;
-        std::uint32_t best_arm = 0;
-        std::uint32_t best_slot = 0;
-        std::uint64_t priced = 0;
-        for (std::uint32_t a = 0; a < arms.size(); ++a) {
-            index.beginScan(arms[a].cylinder);
-            std::uint32_t band_min = 0;
-            while (index.nextBand(band_min, band_)) {
-                if (have) {
-                    const double lb = static_cast<double>(
-                        index.seekLowerBound(band_min)) - credit;
-                    // Strict: an equal-bound candidate could still
-                    // tie the incumbent and win on queue order.
-                    if (lb > best_eff)
-                        break;
-                }
-                for (const IndexedCandidate &c : band_) {
-                    const sim::Tick position = cost(c.view, arms[a]);
-                    ++priced;
-                    const double wait = static_cast<double>(
-                        now - std::min(now, c.view.arrival));
-                    const double eff =
-                        static_cast<double>(position) -
-                        agingWeight_ * wait;
-                    if (!have || eff < best_eff ||
-                        (eff == best_eff &&
-                         (c.order < best_order ||
-                          (c.order == best_order && a < best_arm)))) {
-                        have = true;
-                        best_eff = eff;
-                        best_order = c.order;
-                        best_arm = a;
-                        best_slot = c.view.slot;
-                    }
-                }
-            }
-        }
-        const std::uint64_t nominal =
-            static_cast<std::uint64_t>(index.windowSize()) *
-            arms.size();
-        work_ = {priced, nominal - std::min(nominal, priced)};
-        const Choice got{best_slot, arms[best_arm].index};
-        if (shouldCrossCheck(crossTick_)) {
-            index.materializeWindow(windowScratch_);
-            const Choice want = pickSptf(windowScratch_, arms, cost,
-                                         now, agingWeight_);
-            verify::onSchedChoice(
-                agingWeight_ > 0.0 ? "sptf-aged" : "sptf", got.slot,
-                got.arm, want.slot, want.arm);
-        }
-        return got;
     }
 
   private:
     double agingWeight_;
-    std::vector<IndexedCandidate> band_;
-    std::uint64_t crossTick_ = 0;
 };
 
 } // namespace

@@ -36,8 +36,7 @@ InvariantChecker::reserveDisks(std::uint32_t disks)
 std::uint64_t
 InvariantChecker::observations() const
 {
-    std::uint64_t n = coordObservations_ +
-        schedObservations_.load(std::memory_order_relaxed);
+    std::uint64_t n = coordObservations_;
     for (const DomainClock &d : domains_)
         n += d.observations;
     for (const DiskState &d : disks_)
@@ -110,18 +109,6 @@ InvariantChecker::failNonCausal(std::uint32_t dev, std::uint64_t id,
 }
 
 void
-InvariantChecker::failPositioningBound(std::uint32_t dev,
-                                       sim::Tick lower_bound,
-                                       sim::Tick exact)
-{
-    std::ostringstream os;
-    os << "disk " << dev << ": pure-seek lower bound " << lower_bound
-       << " exceeds the exact positioning price " << exact
-       << " -- pruning/horizon bound is inadmissible";
-    fail(os.str());
-}
-
-void
 InvariantChecker::failServiceBound(std::uint32_t dev, sim::Tick floor,
                                    sim::Tick done)
 {
@@ -129,25 +116,6 @@ InvariantChecker::failServiceBound(std::uint32_t dev, sim::Tick floor,
     os << "disk " << dev << ": completion floor " << floor
        << " lies after the actual completion " << done
        << " -- dynamic-horizon bound is inadmissible";
-    fail(os.str());
-}
-
-void
-InvariantChecker::checkSchedChoice(const char *policy,
-                                   std::uint32_t got_slot,
-                                   std::uint32_t got_arm,
-                                   std::uint32_t want_slot,
-                                   std::uint32_t want_arm)
-{
-    schedObservations_.fetch_add(1, std::memory_order_relaxed);
-    if (got_slot == want_slot && got_arm == want_arm)
-        return;
-    std::ostringstream os;
-    os << "sched " << policy << ": pruned scan chose (slot "
-       << got_slot << ", arm " << got_arm
-       << ") but the exhaustive scan chooses (slot " << want_slot
-       << ", arm " << want_arm
-       << ") -- pruning bound or tie-break order is wrong";
     fail(os.str());
 }
 

@@ -29,7 +29,6 @@
 #ifndef IDP_VERIFY_INVARIANT_CHECKER_HH
 #define IDP_VERIFY_INVARIANT_CHECKER_HH
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -151,18 +150,6 @@ class InvariantChecker
                       max_transfers);
     }
 
-    /** The pure-seek lower bound must not exceed the exact
-     *  seek+rotation positioning price (admissibility of the pruning
-     *  bound and of the PDES dynamic-horizon seek floor). */
-    void
-    checkPositioningBound(std::uint32_t dev, sim::Tick lower_bound,
-                          sim::Tick exact)
-    {
-        ++disk(dev).observations;
-        if (lower_bound > exact) [[unlikely]]
-            failPositioningBound(dev, lower_bound, exact);
-    }
-
     /** A completed access's maintained completion floor must not lie
      *  in the future of the actual completion tick. */
     void
@@ -172,13 +159,6 @@ class InvariantChecker
         if (floor > done) [[unlikely]]
             failServiceBound(dev, floor, done);
     }
-
-    // -- scheduler level ---------------------------------------------
-    /** A sampled pruned-scan pick must equal the exhaustive pick. */
-    void checkSchedChoice(const char *policy, std::uint32_t got_slot,
-                          std::uint32_t got_arm,
-                          std::uint32_t want_slot,
-                          std::uint32_t want_arm);
 
     // -- array level -------------------------------------------------
     void
@@ -346,9 +326,6 @@ class InvariantChecker
         std::uint32_t busy_arms, std::uint32_t total_arms,
         std::uint32_t active_seeks, std::uint32_t max_seeks,
         std::uint32_t active_transfers, std::uint32_t max_transfers);
-    [[gnu::cold]] void failPositioningBound(std::uint32_t dev,
-                                            sim::Tick lower_bound,
-                                            sim::Tick exact);
     [[gnu::cold]] void failServiceBound(std::uint32_t dev,
                                         sim::Tick floor, sim::Tick done);
     [[gnu::cold]] void failSplitBeforeArrival(std::uint64_t join_id,
@@ -389,9 +366,6 @@ class InvariantChecker
     std::uint64_t rebuildChunks_ = 0;
     std::uint64_t rebuildSpareWrites_ = 0;
     std::uint32_t openChunkWrites_ = 0;
-    /** Sampled scheduler checks run on PDES drive workers and carry
-     *  no device id: the one count that stays atomic. */
-    alignas(kLine) std::atomic<std::uint64_t> schedObservations_{0};
 };
 
 /** Installs a checker as this thread's current one (RAII). */

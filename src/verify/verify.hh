@@ -102,20 +102,6 @@ onDiskOccupancy(std::uint32_t dev, std::size_t in_flight,
 }
 
 /**
- * The positioning oracle priced a (request, arm) pair: the pure-seek
- * pruning bound (also the PDES horizon floor's seek ingredient) must
- * never exceed the exact seek+rotation price — including mid-RPM-ramp,
- * where every period-derived term re-derives per segment.
- */
-inline void
-onPositioningBound(std::uint32_t dev, sim::Tick lower_bound,
-                   sim::Tick exact)
-{
-    if (InvariantChecker *vc = activeChecker())
-        vc->checkPositioningBound(dev, lower_bound, exact);
-}
-
-/**
  * A media access completed at @p done; its maintained completion
  * floor (the PDES dynamic-horizon ingredient) must be admissible,
  * i.e. never in the future of the actual completion.
@@ -125,26 +111,6 @@ onDiskServiceBound(std::uint32_t dev, sim::Tick floor, sim::Tick done)
 {
     if (InvariantChecker *vc = activeChecker())
         vc->checkServiceBound(dev, floor, done);
-}
-
-// ---------------------------------------------------------------
-// Scheduler hooks
-// ---------------------------------------------------------------
-
-/**
- * A pruned (indexed) scheduler selection, sampled and re-derived with
- * the exhaustive reference scan: the two picks must be identical —
- * the pruning bounds are admissible and the tie-break order is
- * preserved by construction, so any divergence is a bug.
- */
-inline void
-onSchedChoice(const char *policy, std::uint32_t got_slot,
-              std::uint32_t got_arm, std::uint32_t want_slot,
-              std::uint32_t want_arm)
-{
-    if (InvariantChecker *vc = activeChecker())
-        vc->checkSchedChoice(policy, got_slot, got_arm, want_slot,
-                             want_arm);
 }
 
 // ---------------------------------------------------------------

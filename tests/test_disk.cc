@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "disk/disk_drive.hh"
@@ -347,21 +349,67 @@ TEST(DiskDrive, RequestBeyondCapacityPanics)
     EXPECT_DEATH(h.drive.submit(bad), "beyond device capacity");
 }
 
+/**
+ * The scheduling window is the k oldest pending requests. A one-arm
+ * SSTF drive with every request queued at tick 0 makes it visible:
+ * each dispatch after the first must be the nearest of the k oldest
+ * still-pending requests to the cylinder the arm last served, ties to
+ * the older request. Writes, because the drive is write-through and
+ * every write reaches the media (no read-cache hits).
+ */
 TEST(DiskDrive, SchedulerWindowRespected)
 {
-    DriveSpec spec = testSpec();
-    spec.schedWindow = 1; // degenerate: FIFO dispatch order
-    Harness h(spec);
-    sim::Rng rng(10);
-    const std::uint64_t total = h.drive.geometry().totalSectors() - 64;
-    std::vector<IoRequest> reqs;
-    for (int i = 0; i < 50; ++i)
-        h.submitAt(0, makeReq(i, rng.uniformInt(total), 8, true));
-    h.simul.run();
-    // With window 1, media service must follow submission order.
-    for (std::size_t i = 1; i < h.completions.size(); ++i)
-        EXPECT_LT(h.completions[i - 1].req.id,
-                  h.completions[i].req.id);
+    for (const std::uint32_t window : {1u, 2u, 3u, 8u}) {
+        DriveSpec spec = testSpec();
+        spec.sched.policy = sched::Policy::Sstf;
+        spec.schedWindow = window;
+        Harness h(spec);
+        sim::Rng rng(10);
+        const std::uint64_t total =
+            h.drive.geometry().totalSectors() - 64;
+        std::vector<IoRequest> pending; // FIFO order
+        for (int i = 0; i < 60; ++i) {
+            pending.push_back(
+                makeReq(i, rng.uniformInt(total), 8, false));
+            h.submitAt(0, pending.back());
+        }
+        h.simul.run();
+        ASSERT_EQ(h.completions.size(), 60u) << "window " << window;
+        if (window == 1) {
+            // Degenerate window: media service follows submission
+            // order.
+            for (std::size_t i = 1; i < h.completions.size(); ++i)
+                EXPECT_LT(h.completions[i - 1].req.id,
+                          h.completions[i].req.id);
+        }
+
+        auto cylinder = [&h](const IoRequest &r) {
+            return h.drive.geometry().lbaToChs(r.lba).cylinder;
+        };
+        // The first submit finds the arm idle and dispatches alone.
+        ASSERT_EQ(h.completions[0].req.id, pending.front().id);
+        std::uint32_t arm = cylinder(pending.front());
+        pending.erase(pending.begin());
+        for (std::size_t i = 1; i < h.completions.size(); ++i) {
+            const std::size_t k =
+                std::min<std::size_t>(window, pending.size());
+            std::size_t want = 0;
+            std::uint32_t best_dist = 0;
+            for (std::size_t j = 0; j < k; ++j) {
+                const std::uint32_t c = cylinder(pending[j]);
+                const std::uint32_t d = c > arm ? c - arm : arm - c;
+                if (j == 0 || d < best_dist) {
+                    best_dist = d;
+                    want = j;
+                }
+            }
+            ASSERT_EQ(h.completions[i].req.id, pending[want].id)
+                << "window " << window << ", completion " << i;
+            arm = cylinder(pending[want]);
+            pending.erase(pending.begin() +
+                          static_cast<std::ptrdiff_t>(want));
+        }
+    }
 }
 
 TEST(DiskDrive, MultiChannelExtensionAllowsOverlap)

@@ -157,7 +157,6 @@ TEST(EnvResolve, UnsetOrEmptyMeansDefault)
     EXPECT_EQ(resolved.threads, defaults.threads);
     EXPECT_EQ(resolved.benchOut, ".");
     EXPECT_EQ(resolved.checkInvariants, verify::kCompiledIn);
-    EXPECT_TRUE(resolved.schedPrune);
     EXPECT_FALSE(resolved.governor.has_value());
     EXPECT_FALSE(resolved.serveTenants.has_value());
     EXPECT_EQ(resolved.logLevel, sim::LogLevel::Warn);

@@ -317,10 +317,10 @@ TEST(RunTrace, MetricsReadTheModulesOwnCounts)
                      static_cast<double>(r.cacheHits));
     EXPECT_DOUBLE_EQ(value("cache.read_hits"),
                      static_cast<double>(r.cacheHits));
-    EXPECT_DOUBLE_EQ(value("sched.candidates_seen"),
-                     value("sched.candidates_priced") +
-                         value("sched.candidates_pruned"));
+    // Every selection prices at least the request it dispatches.
     EXPECT_GT(value("sched.selections"), 0.0);
+    EXPECT_GE(value("sched.candidates_priced"),
+              value("sched.selections"));
 }
 
 TEST(RunTrace, TracingDoesNotPerturbResults)

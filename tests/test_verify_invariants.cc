@@ -260,11 +260,7 @@ TEST(VerifyChecker, EveryHookCountsOneObservation)
         {"diskComplete", [&] { vc.diskComplete(2, 7, 100, 10); }},
         {"checkDiskOccupancy",
          [&] { vc.checkDiskOccupancy(1, 1, 1, 4, 1, 1, 0, 1); }},
-        {"checkPositioningBound",
-         [&] { vc.checkPositioningBound(1, 5, 10); }},
         {"checkServiceBound", [&] { vc.checkServiceBound(1, 5, 10); }},
-        {"checkSchedChoice",
-         [&] { vc.checkSchedChoice("sptf", 1, 0, 1, 0); }},
         {"arraySplit", [&] { vc.arraySplit(9, 0, 0); }},
         {"arraySub", [&] { vc.arraySub(9); }},
         {"arraySubFinish", [&] { vc.arraySubFinish(9, 50); }},

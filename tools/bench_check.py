@@ -47,12 +47,10 @@ BENCHES = {
         "required": [
             f"{metric}_q{q}" for q in SCHED_DEPTHS
             for metric in ("sptf_priced_per_dispatch",
-                           "sptf_exhaustive_per_dispatch",
-                           "sptf_prune_ratio", "sched_dispatches_per_sec")
+                           "sched_dispatches_per_sec")
         ],
         "gates": [
             *(f"sched_allocs_per_dispatch_q{q} == 0" for q in SCHED_DEPTHS),
-            "sptf_prune_ratio_q64 >= 3.0",
         ],
     },
     "raid": {

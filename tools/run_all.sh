@@ -1,14 +1,14 @@
 #!/bin/sh
 # Build, test, and regenerate every table/figure into results/.
-# Usage: tools/run_all.sh [--verify] [--filter REGEX] [IDP_REQUESTS] [IDP_THREADS]
+# Usage: tools/run_all.sh [--filter REGEX] [IDP_REQUESTS] [IDP_THREADS]
 #
-#   --verify         run the benches with the runtime invariant
-#                    checker enabled (IDP_VERIFY=1): any conservation
-#                    or causality violation aborts the bench. See
-#                    docs/verification.md; tools/verify_all.sh runs
-#                    the full audit.
 #   --filter REGEX   run only the bench binaries whose name matches
 #                    REGEX (grep -E syntax), e.g. --filter 'fig4'.
+#
+# Every bench runs under the runtime invariant checker unless
+# IDP_VERIFY=0 is set: any conservation or causality violation aborts
+# the bench. See docs/verification.md; tools/verify_all.sh runs the
+# full audit.
 #
 # IDP_THREADS (2nd positional or inherited env) is passed through to
 # every bench binary: it sets the sweep engine's worker count
@@ -18,11 +18,6 @@
 # `IDP_TRACE=1 tools/run_all.sh --filter fig4` produces traced runs.
 set -e
 cd "$(dirname "$0")/.."
-
-if [ "$1" = "--verify" ]; then
-    export IDP_VERIFY=1
-    shift
-fi
 
 FILTER=''
 if [ "$1" = "--filter" ]; then
