@@ -10,11 +10,15 @@
  *     injected retry rate on conventional vs SA(4).
  *  2. A RAID-5 array in degraded mode fans reads across all survivors.
  *     How much of the degradation do intra-disk parallel members hide?
+ *
+ * Under IDP_TRACE with IDP_CSV_DIR set, each RAID-5 run's metrics land
+ * in <dir>/ablation_faults_metrics.csv, one system per members/mode.
  */
 
 #include <iostream>
 
 #include "config/env.hh"
+#include "core/csv_export.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "core/run.hh"
@@ -81,21 +85,25 @@ main()
     // A member fails before the traffic starts, which runTrace has no
     // hook for, so each (members, mode) point is its own serial
     // core::Run, run through the generic sweep engine and returning
-    // its table row.
+    // its table row and (traced) metrics.
     struct Raid5Point
     {
         std::uint32_t arms;
         bool degraded;
+    };
+    struct Raid5Run
+    {
+        std::vector<std::string> row;
+        core::RunResult result; ///< system and metrics only
     };
     std::vector<Raid5Point> raid5_points;
     for (std::uint32_t arms : {1u, 4u})
         for (bool degraded : {false, true})
             raid5_points.push_back({arms, degraded});
 
-    const auto raid5_rows = exec::parallelMap(
+    const auto raid5_runs = exec::parallelMap(
         raid5_points.size(), env.threads,
-        [&trace, &env, &raid5_points](std::size_t i)
-            -> std::vector<std::string> {
+        [&trace, &env, &raid5_points](std::size_t i) -> Raid5Run {
             const Raid5Point &pt = raid5_points[i];
             core::SystemConfig system;
             system.array.layout = array::Layout::Raid5;
@@ -120,17 +128,25 @@ main()
             run.drain();
             const stats::SampleSet &resp = arr.stats().responseMs;
             const auto power = arr.finishPower();
-            return {
+            Raid5Run out;
+            out.row = {
                 pt.arms == 1 ? "conventional" : "SA(4)",
                 pt.degraded ? "degraded" : "healthy",
                 fmt(resp.mean(), 2),
                 fmt(resp.p90(), 2),
                 fmt(power.totalAvgW(), 1),
             };
+            out.result.system = out.row[0] + "/" + out.row[1];
+            out.result.metrics = run.metrics();
+            return out;
         });
-    for (const auto &row : raid5_rows)
-        degraded_table.addRow(row);
+    std::vector<core::RunResult> traced;
+    for (const Raid5Run &r : raid5_runs) {
+        degraded_table.addRow(r.row);
+        traced.push_back(r.result);
+    }
     degraded_table.print(std::cout);
+    core::maybeExportMetricsCsv(env.csvDir, "ablation_faults", traced);
 
     std::cout << "\nReading: retry hiccups and reconstruction fan-out "
                  "both cost rotations;\nintra-disk parallel members "

@@ -99,9 +99,15 @@ main()
                 if (kind.actuators > 1)
                     drive = disk::makeIntraDiskParallel(
                         drive, kind.actuators);
+                // A name per point, so each run has its own column
+                // in the IDP_CSV_DIR export.
                 points.push_back(
                     {&traces[t],
-                     core::makeRaid0System(kind.name, drive, disks)});
+                     core::makeRaid0System(
+                         std::to_string(disks) + "x " + kind.name +
+                             " @ " + stats::fmt(inter_arrivals[t], 0) +
+                             " ms",
+                         drive, disks)});
             }
         }
     }
@@ -111,6 +117,7 @@ main()
     const std::vector<core::RunResult> runs =
         exec::runSimPoints(points, env.threads);
     const auto sim_t1 = std::chrono::steady_clock::now();
+    core::maybeExportCsv(env.csvDir, "fig8", runs);
 
     // Perf-trajectory report (stderr + BENCH_raid.json; the figure
     // output on stdout stays byte-identical across runs).

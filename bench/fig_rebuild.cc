@@ -19,7 +19,9 @@
  * path (expected: zero between chunk landings).
  *
  * Writes BENCH_rebuild.json (idp-bench-v1). IDP_BENCH_SMOKE=1 shrinks
- * the run for CI.
+ * the run for CI. Under IDP_TRACE with IDP_CSV_DIR set, each lifecycle
+ * run's metrics land in <dir>/fig_rebuild_metrics.csv, one system per
+ * config/phase.
  */
 
 #include <iostream>
@@ -28,6 +30,7 @@
 #include "array/storage_array.hh"
 #include "bench_json.hh"
 #include "config/env.hh"
+#include "core/csv_export.hh"
 #include "core/run.hh"
 #include "stats/table.hh"
 #include "workload/synthetic.hh"
@@ -53,6 +56,7 @@ struct PhaseResult
     double rebuildWindowS = 0.0; ///< rebuilding phase only
     std::uint64_t chunks = 0;
     std::uint64_t spareWrites = 0;
+    std::vector<telemetry::MetricSample> metrics; ///< traced runs only
 };
 
 enum class Phase
@@ -67,7 +71,7 @@ enum class Phase
  *  are serially synchronized in both modes (every calendar still at
  *  tick 0), and the rebuild stream serializes its pump ticks. */
 PhaseResult
-runPhase(const config::Env &env, core::SystemConfig system, Phase phase,
+runPhase(core::SystemConfig system, Phase phase,
          const workload::Trace &trace, int pdes_workers = 0)
 {
     system.pdesWorkers = pdes_workers;
@@ -75,11 +79,8 @@ runPhase(const config::Env &env, core::SystemConfig system, Phase phase,
     array::StorageArray &arr = run.array();
     if (phase != Phase::Healthy)
         arr.failDisk(0);
-    if (phase == Phase::Rebuilding) {
-        array::RebuildParams rp;
-        env.apply(rp);
-        arr.startRebuild(0, rp);
-    }
+    if (phase == Phase::Rebuilding)
+        arr.startRebuild(0, array::RebuildParams{});
     for (const auto &req : trace) {
         workload::IoRequest r = req;
         r.lba = req.lba % (arr.logicalSectors() - 64);
@@ -102,18 +103,17 @@ runPhase(const config::Env &env, core::SystemConfig system, Phase phase,
         out.chunks = prog.chunksDone;
         out.spareWrites = prog.spareWrites;
     }
+    out.metrics = run.metrics();
     return out;
 }
 
-/** Healthy-mirror mean response under one RAID-1 replica policy; the
- *  policy is set after the knobs, so IDP_REPLICA cannot make the two
- *  columns the same policy. */
+/** Healthy-mirror mean response under one RAID-1 replica policy. */
 double
-mirrorMeanMs(const config::Env &env, core::SystemConfig system,
-             array::ReplicaPolicy policy, const workload::Trace &trace)
+mirrorMeanMs(core::SystemConfig system, array::ReplicaPolicy policy,
+             const workload::Trace &trace)
 {
     system.array.replica = policy;
-    return runPhase(env, system, Phase::Healthy, trace).meanMs;
+    return runPhase(system, Phase::Healthy, trace).meanMs;
 }
 
 /**
@@ -124,8 +124,7 @@ mirrorMeanMs(const config::Env &env, core::SystemConfig system,
  * probe runs under the checker, whose rebuild ledger is O(1).
  */
 std::uint64_t
-rebuildSteadyAllocs(const config::Env &env, core::SystemConfig system,
-                    int pdes_workers = 0)
+rebuildSteadyAllocs(core::SystemConfig system, int pdes_workers = 0)
 {
     system.pdesWorkers = pdes_workers;
     core::Run run(system);
@@ -143,7 +142,6 @@ rebuildSteadyAllocs(const config::Env &env, core::SystemConfig system,
         if (chunk == (3 * total) / 4)
             end_allocs = benchjson::allocCount();
     };
-    env.apply(rp);
     arr.startRebuild(0, rp);
     run.drain();
     return end_allocs - start_allocs;
@@ -219,12 +217,17 @@ main()
 
     bool conservation_ok = true;
     PhaseResult lifecycle[3][3]; // [config][phase], serial reference
+    std::vector<core::RunResult> traced;
     for (int c = 0; c < 3; ++c) {
         const ConfigDef &config = configs[c];
         for (int p = 0; p < 3; ++p) {
             const PhaseResult r =
-                runPhase(env, config.system, phases[p], trace);
+                runPhase(config.system, phases[p], trace);
             lifecycle[c][p] = r;
+            traced.emplace_back();
+            traced.back().system =
+                std::string(config.label) + "/" + phase_names[p];
+            traced.back().metrics = r.metrics;
             const std::string prefix =
                 std::string(config.key) + "_" + phase_names[p];
             report.add(prefix + "_mean_ms", r.meanMs, "ms");
@@ -256,6 +259,7 @@ main()
     table.print(std::cout);
     report.add("conservation_ok", conservation_ok ? 1.0 : 0.0,
                "bool");
+    core::maybeExportMetricsCsv(env.csvDir, "fig_rebuild", traced);
 
     // RAID-1 replica dispatch: positioning pricing vs the legacy
     // queue-depth policy on the healthy mirrors.
@@ -266,11 +270,10 @@ main()
         {"Config", "Positioning", "Queue", "Gain"});
     double best_gain_pct = -1e9;
     for (int c = 0; c < 2; ++c) {
-        const double pos =
-            mirrorMeanMs(env, configs[c].system,
-                         array::ReplicaPolicy::Positioning, trace);
+        const double pos = mirrorMeanMs(
+            configs[c].system, array::ReplicaPolicy::Positioning, trace);
         const double queue = mirrorMeanMs(
-            env, configs[c].system, array::ReplicaPolicy::Queue, trace);
+            configs[c].system, array::ReplicaPolicy::Queue, trace);
         const double gain_pct = (1.0 - pos / queue) * 100.0;
         best_gain_pct = std::max(best_gain_pct, gain_pct);
         report.add(std::string(configs[c].key) + "_pos_mean_ms", pos,
@@ -287,7 +290,7 @@ main()
 
     // Pure rebuild path: no allocations in steady state.
     const std::uint64_t steady_allocs =
-        rebuildSteadyAllocs(env, configs[0].system);
+        rebuildSteadyAllocs(configs[0].system);
     report.add("rebuild_steady_allocs",
                static_cast<double>(steady_allocs), "allocs");
 
@@ -301,8 +304,7 @@ main()
     bool pdes_matches = true;
     for (int w : {1, 4, 8}) {
         const PhaseResult rb =
-            runPhase(env, configs[0].system, Phase::Rebuilding,
-                     trace, w);
+            runPhase(configs[0].system, Phase::Rebuilding, trace, w);
         const PhaseResult &ref = lifecycle[0][2];
         pdes_matches = pdes_matches && rb.meanMs == ref.meanMs &&
             rb.p99Ms == ref.p99Ms &&
@@ -312,7 +314,7 @@ main()
     }
     {
         const PhaseResult dg =
-            runPhase(env, configs[0].system, Phase::Degraded, trace, 4);
+            runPhase(configs[0].system, Phase::Degraded, trace, 4);
         const PhaseResult &ref = lifecycle[0][1];
         pdes_matches = pdes_matches && dg.meanMs == ref.meanMs &&
             dg.p99Ms == ref.p99Ms &&
@@ -321,7 +323,7 @@ main()
     report.add("pdes_rebuild_matches_serial",
                pdes_matches ? 1.0 : 0.0, "bool");
     const std::uint64_t pdes_steady_allocs =
-        rebuildSteadyAllocs(env, configs[0].system, 4);
+        rebuildSteadyAllocs(configs[0].system, 4);
     report.add("pdes_rebuild_steady_allocs",
                static_cast<double>(pdes_steady_allocs), "allocs");
 

@@ -83,7 +83,6 @@ main()
         base.warmupSeconds = 5.0;
         base.wheelGranularityMs = 100.0;
     }
-    env.apply(base);
 
     const disk::DriveSpec conv = disk::barracudaEs750();
     const disk::DriveSpec sa4 = disk::withRpm(

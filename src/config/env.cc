@@ -1,39 +1,32 @@
 #include "config/env.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstring>
+#include <optional>
 #include <sstream>
 #include <type_traits>
+
+extern char **environ;
 
 namespace idp {
 namespace config {
 
 namespace {
 
-template <typename T> struct Unwrap
-{
-    using type = T;
-};
-template <typename T> struct Unwrap<std::optional<T>>
-{
-    using type = T;
-};
-
 /** Store a checked value into the Env field @p Field, converted to
- *  the field's type (an optional field becomes set). */
+ *  the field's type. */
 template <auto Field>
 void
 set(Env &env, double number, const std::string &text)
 {
     auto &field = env.*Field;
     using T = std::remove_reference_t<decltype(field)>;
-    using V = typename Unwrap<T>::type;
-    if constexpr (std::is_same_v<V, std::string>)
+    if constexpr (std::is_same_v<T, std::string>)
         field = text;
-    else if constexpr (std::is_same_v<V, bool>)
+    else if constexpr (std::is_same_v<T, bool>)
         field = number != 0.0;
     else
-        field = static_cast<V>(number);
+        field = static_cast<T>(number);
 }
 
 using K = ValueKind;
@@ -82,63 +75,11 @@ const std::vector<EnvVar> kTable = {
      }},
     {"IDP_VERIFY", K::Switch, D::Any, nullptr, "on",
      "runtime invariant checker", set<&Env::checkInvariants>},
-    {"IDP_REPLICA", K::Name, D::Any, "queue|position|positioning",
-     "the array's", "RAID-1 read replica policy",
-     [](Env &e, double, const std::string &t) {
-         e.replica = t == "queue" ? array::ReplicaPolicy::Queue
-                                  : array::ReplicaPolicy::Positioning;
-     }},
-    {"IDP_REBUILD_CHUNK", K::Count, D::Positive, nullptr, "the rebuild's",
-     "rebuild chunk size, sectors", set<&Env::rebuildChunk>},
-    {"IDP_REBUILD_MBPS", K::Real, D::NonNegative, nullptr,
-     "the rebuild's", "rebuild rate cap, MB/s (0 = unthrottled)",
-     set<&Env::rebuildMBps>},
-    {"IDP_REBUILD_YIELD", K::Count, D::NonNegative, nullptr,
-     "the rebuild's",
-     "survivor queue depth at which a rebuild yields to foreground",
-     set<&Env::rebuildYield>},
-    {"IDP_GOVERNOR", K::Switch, D::Any, nullptr, "the array's",
-     "force the online energy governor off or on", set<&Env::governor>},
-    {"IDP_GOVERNOR_WINDOW_MS", K::Real, D::Positive, nullptr,
-     "the array's", "governor control-loop period, ms",
-     set<&Env::governorWindowMs>},
-    {"IDP_GOVERNOR_SLO_MS", K::Real, D::Positive, nullptr, "the array's",
-     "governor latency SLO on the window p99, ms",
-     set<&Env::governorSloMs>},
-    {"IDP_GOVERNOR_DWELL_MS", K::Real, D::Positive, nullptr,
-     "the array's", "governor minimum dwell between downward steps, ms",
-     set<&Env::governorDwellMs>},
-    {"IDP_GOVERNOR_PARK", K::Count, D::NonNegative, nullptr,
-     "the array's", "arms the governor keeps serviceable when parking",
-     set<&Env::governorPark>},
     {"IDP_BENCH_OUT", K::Text, D::Any, nullptr, "working directory",
      "directory for BENCH_*.json perf reports", set<&Env::benchOut>},
     {"IDP_BENCH_SMOKE", K::Switch, D::Any, nullptr, "off",
      "shrink perf-report measurement windows (CI smoke)",
      set<&Env::benchSmoke>},
-    {"IDP_SERVE_TENANTS", K::Count, D::Positive, nullptr, "the bench's",
-     "serving mode: tenant session count", set<&Env::serveTenants>},
-    {"IDP_SERVE_SECONDS", K::Real, D::Positive, nullptr, "the bench's",
-     "serving mode: simulated seconds of arrivals per point",
-     set<&Env::serveSeconds>},
-    {"IDP_SERVE_WARMUP", K::Real, D::NonNegative, nullptr, "the bench's",
-     "serving mode: warm-up seconds before steady-state measurement",
-     set<&Env::serveWarmup>},
-    {"IDP_SERVE_THINK_MS", K::Real, D::Positive, nullptr, "the bench's",
-     "serving mode: closed-loop mean think time, ms",
-     set<&Env::serveThinkMs>},
-    {"IDP_SERVE_OPEN_FRACTION", K::Real, D::Fraction, nullptr,
-     "the bench's", "serving mode: fraction of sessions driven open-loop",
-     set<&Env::serveOpenFraction>},
-    {"IDP_SERVE_SLO_P99_MS", K::Real, D::Positive, nullptr, "the bench's",
-     "serving mode: p99 latency objective, ms", set<&Env::serveSloP99Ms>},
-    {"IDP_SERVE_SNAPSHOT_MS", K::Real, D::NonNegative, nullptr,
-     "the bench's", "serving mode: snapshot period, ms (0 = final only)",
-     set<&Env::serveSnapshotMs>},
-    {"IDP_SERVE_MAX_INFLIGHT", K::Count, D::NonNegative, nullptr,
-     "the bench's",
-     "serving mode: global admission in-flight cap (0 = uncapped)",
-     set<&Env::serveMaxInFlight>},
 };
 
 /** True when @p text is one of @p var's '|'-separated names. */
@@ -187,9 +128,14 @@ resolveEnv(const std::vector<std::string> &entries)
         const std::string name = entry.substr(0, eq);
         const std::string text =
             eq == std::string::npos ? "" : entry.substr(eq + 1);
-        for (const EnvVar &var : kTable)
-            if (name == var.name)
-                resolveOne(env, var, text);
+        const auto var =
+            std::find_if(kTable.begin(), kTable.end(),
+                         [&](const EnvVar &v) { return name == v.name; });
+        if (var != kTable.end())
+            resolveOne(env, *var, text);
+        else if (name.rfind("IDP_", 0) == 0)
+            sim::fatal(name + ": not a knob; README.md's \"Environment "
+                       "variables\" table lists every IDP_* variable");
     }
     return env;
 }
@@ -198,9 +144,9 @@ Env
 resolveEnv()
 {
     std::vector<std::string> entries;
-    for (const EnvVar &var : kTable)
-        if (const char *value = std::getenv(var.name))
-            entries.push_back(std::string(var.name) + "=" + value);
+    for (char **e = environ; e != nullptr && *e != nullptr; ++e)
+        if (std::strncmp(*e, "IDP_", 4) == 0)
+            entries.emplace_back(*e);
     return resolveEnv(entries);
 }
 
@@ -226,49 +172,9 @@ Env::pdesWorkerCount() const
 void
 Env::apply(core::SystemConfig &config) const
 {
-    apply(config.array);
     config.pdesWorkers = pdesWorkerCount();
     config.tracing = tracing;
     config.checkInvariants = checkInvariants;
-}
-
-void
-Env::apply(array::ArrayParams &params) const
-{
-    if (replica)
-        params.replica = *replica;
-    power::GovernorParams &g = params.governor;
-    g.enabled = governor.value_or(g.enabled);
-    g.windowMs = governorWindowMs.value_or(g.windowMs);
-    g.sloP99Ms = governorSloMs.value_or(g.sloP99Ms);
-    g.minDwellMs = governorDwellMs.value_or(g.minDwellMs);
-    g.parkKeepArms = governorPark.value_or(g.parkKeepArms);
-}
-
-void
-Env::apply(array::RebuildParams &params) const
-{
-    params.chunkSectors = rebuildChunk.value_or(params.chunkSectors);
-    params.rateMBps = rebuildMBps.value_or(params.rateMBps);
-    params.yieldDepth = rebuildYield.value_or(params.yieldDepth);
-}
-
-void
-Env::apply(serve::ServeParams &params) const
-{
-    params.tenants = serveTenants.value_or(params.tenants);
-    params.durationSeconds =
-        serveSeconds.value_or(params.durationSeconds);
-    params.warmupSeconds = serveWarmup.value_or(params.warmupSeconds);
-    params.thinkMs = serveThinkMs.value_or(params.thinkMs);
-    params.openFraction =
-        serveOpenFraction.value_or(params.openFraction);
-    params.slo.p99TargetMs =
-        serveSloP99Ms.value_or(params.slo.p99TargetMs);
-    params.snapshotPeriodMs =
-        serveSnapshotMs.value_or(params.snapshotPeriodMs);
-    params.admission.maxInFlight =
-        serveMaxInFlight.value_or(params.admission.maxInFlight);
 }
 
 } // namespace config

@@ -1,7 +1,9 @@
 /**
  * @file
  * The environment knobs: every IDP_* variable the repo reads, in one
- * table, and the one resolver that reads them.
+ * table, and the one resolver that reads them. They say how a run
+ * executes, never what it models: that comes only from a bench's or
+ * example's source, or idpsim's INI file.
  *
  * Library code reads no environment. A run depends on its arguments
  * only — SystemConfig, ServeParams, RebuildParams, a sweep width —
@@ -14,7 +16,7 @@
  * row's default. Any other value must parse as the row's kind and
  * fall in its domain (config::ValueKind and ValueDomain, shared with
  * the INI front end), or the process exits naming the variable and
- * the accepted form.
+ * the accepted form. So does an IDP_* name outside the table.
  *
  * README.md's "Environment variables" table lists the same names
  * (checked by EnvTable.ReadmeListsEveryKnob).
@@ -24,25 +26,19 @@
 #define IDP_CONFIG_ENV_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "array/rebuild.hh"
 #include "config/ini.hh"
 #include "core/experiment.hh"
 #include "exec/fork_join.hh"
-#include "serve/service_loop.hh"
 #include "sim/logging.hh"
 #include "verify/verify.hh"
 
 namespace idp {
 namespace config {
 
-/**
- * Everything the environment set, parsed. Fields that override a
- * configured value are optional: unset keeps the configuration's own.
- */
+/** Everything the environment set, parsed. */
 struct Env
 {
     // -- benches, sweeps and tests ------------------------------------
@@ -61,25 +57,6 @@ struct Env
     telemetry::TraceOptions tracing; ///< IDP_TRACE, _SAMPLE, _BUF
     bool checkInvariants = verify::kCompiledIn; ///< IDP_VERIFY
 
-    // -- overrides of a configured value (apply) ------------------------
-    std::optional<array::ReplicaPolicy> replica; ///< IDP_REPLICA
-    std::optional<bool> governor;                ///< IDP_GOVERNOR
-    std::optional<double> governorWindowMs;      ///< IDP_GOVERNOR_WINDOW_MS
-    std::optional<double> governorSloMs;         ///< IDP_GOVERNOR_SLO_MS
-    std::optional<double> governorDwellMs;       ///< IDP_GOVERNOR_DWELL_MS
-    std::optional<std::uint32_t> governorPark;   ///< IDP_GOVERNOR_PARK
-    std::optional<std::uint32_t> rebuildChunk;   ///< IDP_REBUILD_CHUNK
-    std::optional<double> rebuildMBps;           ///< IDP_REBUILD_MBPS
-    std::optional<std::size_t> rebuildYield;     ///< IDP_REBUILD_YIELD
-    std::optional<std::uint64_t> serveTenants;   ///< IDP_SERVE_TENANTS
-    std::optional<double> serveSeconds;          ///< IDP_SERVE_SECONDS
-    std::optional<double> serveWarmup;           ///< IDP_SERVE_WARMUP
-    std::optional<double> serveThinkMs;          ///< IDP_SERVE_THINK_MS
-    std::optional<double> serveOpenFraction; ///< IDP_SERVE_OPEN_FRACTION
-    std::optional<double> serveSloP99Ms;         ///< IDP_SERVE_SLO_P99_MS
-    std::optional<double> serveSnapshotMs;       ///< IDP_SERVE_SNAPSHOT_MS
-    std::optional<std::uint32_t> serveMaxInFlight; ///< IDP_SERVE_MAX_INFLIGHT
-
     /** A bench's request count: IDP_REQUESTS when set, otherwise
      *  @p default_requests times IDP_SCALE (scale floored at 0.01),
      *  never below 1000. */
@@ -89,15 +66,10 @@ struct Env
      *  then IDP_PDES_WORKERS, defaulting to threads. */
     unsigned pdesWorkerCount() const;
 
-    /** The array knobs below, plus pdesWorkers, tracing and the
-     *  checker switch. Apply before setting any of those three
-     *  explicitly: the knobs override the array's own settings, and
-     *  an explicit run mode overrides the knobs. */
+    /** Set the run's execution fields — pdesWorkers, tracing and the
+     *  checker switch — and nothing it models. A run mode set
+     *  explicitly after apply wins. */
     void apply(core::SystemConfig &config) const;
-    /** Replica policy and governor overrides. */
-    void apply(array::ArrayParams &params) const;
-    void apply(array::RebuildParams &params) const;
-    void apply(serve::ServeParams &params) const;
 };
 
 /** One row of the knob table. */
@@ -121,9 +93,9 @@ struct EnvVar
 const std::vector<EnvVar> &envTable();
 
 /**
- * Resolve "NAME=value" entries: names outside the table are ignored;
- * a bad value is fatal (sim::fatal, naming the variable and the
- * accepted form). Pure: tests pass their own entries.
+ * Resolve "NAME=value" entries: a bad value, or an IDP_* name outside
+ * the table, is fatal (sim::fatal, naming the variable); other names
+ * are ignored. Pure: tests pass their own entries.
  */
 Env resolveEnv(const std::vector<std::string> &entries);
 

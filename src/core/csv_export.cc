@@ -145,12 +145,19 @@ maybeExportCsv(const std::string &dir, const std::string &stem,
     writeCdfCsv(base + "_cdf.csv", results);
     writeRotPdfCsv(base + "_rotpdf.csv", results);
     writeSummaryCsv(base + "_summary.csv", results);
+    maybeExportMetricsCsv(dir, stem, results);
+    return true;
+}
+
+void
+maybeExportMetricsCsv(const std::string &dir, const std::string &stem,
+                      const std::vector<RunResult> &results)
+{
     bool any_metrics = false;
     for (const auto &r : results)
         any_metrics = any_metrics || !r.metrics.empty();
-    if (any_metrics)
-        writeMetricsCsv(base + "_metrics.csv", results);
-    return true;
+    if (!dir.empty() && any_metrics)
+        writeMetricsCsv(dir + "/" + stem + "_metrics.csv", results);
 }
 
 } // namespace core

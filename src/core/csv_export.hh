@@ -55,6 +55,11 @@ void writeMetricsCsv(const std::string &path,
 bool maybeExportCsv(const std::string &dir, const std::string &stem,
                     const std::vector<RunResult> &results);
 
+/** Bench helper: unless @p dir is empty or no result carries metrics
+ *  (the runs were untraced), write <dir>/<stem>_metrics.csv. */
+void maybeExportMetricsCsv(const std::string &dir, const std::string &stem,
+                           const std::vector<RunResult> &results);
+
 } // namespace core
 } // namespace idp
 

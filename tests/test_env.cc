@@ -1,8 +1,9 @@
 /**
  * @file
- * The configuration edge: the knob table, its one resolver, and the
- * one bad-value policy. Every case below resolves a given list of
- * NAME=value entries; nothing here touches the process environment.
+ * The configuration edge: the knob table, its one resolver, the one
+ * bad-value policy, and the rule that no knob changes what a run
+ * models. Every case below resolves a given list of NAME=value
+ * entries; nothing here touches the process environment.
  */
 
 #include <gtest/gtest.h>
@@ -11,11 +12,14 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <regex>
 #include <string>
 #include <vector>
 
 #include "config/env.hh"
+#include "core/experiment.hh"
+#include "workload/synthetic.hh"
 
 namespace {
 
@@ -102,40 +106,27 @@ TEST(EnvResolveDeathTest, EachValueParsesOrExits)
         // Switches take the INI getBool spellings; "off" is off.
         {"IDP_TRACE=off", nullptr,
          [](const Env &e) { return !e.tracing.enabled; }},
-        // Zero values runService accepts and the README documents.
-        {"IDP_SERVE_MAX_INFLIGHT=0", nullptr,
-         [](const Env &e) { return e.serveMaxInFlight == 0u; }},
-        {"IDP_SERVE_SNAPSHOT_MS=0", nullptr,
-         [](const Env &e) { return e.serveSnapshotMs == 0.0; }},
-        {"IDP_SERVE_WARMUP=0", nullptr,
-         [](const Env &e) { return e.serveWarmup == 0.0; }},
-        {"IDP_SERVE_OPEN_FRACTION=0", nullptr,
-         [](const Env &e) { return e.serveOpenFraction == 0.0; }},
         // Malformed numbers exit instead of defaulting silently.
         {"IDP_SCALE=abc", "IDP_SCALE: expected a finite number > 0", {}},
-        {"IDP_REBUILD_YIELD=abc",
-         "IDP_REBUILD_YIELD: expected a whole number from 0", {}},
         {"IDP_REQUESTS=abc",
          "IDP_REQUESTS: expected a whole number from 1", {}},
-        {"IDP_REBUILD_CHUNK=abc", "IDP_REBUILD_CHUNK: expected", {}},
-        {"IDP_REBUILD_MBPS=abc",
-         "IDP_REBUILD_MBPS: expected a finite number >= 0", {}},
-        {"IDP_SERVE_SECONDS=not-a-number", "IDP_SERVE_SECONDS: expected",
-         {}},
-        {"IDP_SERVE_TENANTS=many", "IDP_SERVE_TENANTS: expected", {}},
         // Empty means the default; "true" is a switch spelling.
         {"IDP_PDES=", nullptr,
          [](const Env &e) { return e.pdesWorkerCount() == 0u; }},
         {"IDP_BENCH_SMOKE=true", nullptr,
          [](const Env &e) { return e.benchSmoke; }},
-        // Enums exit like every other knob (no core dump).
-        {"IDP_REPLICA=bogus",
-         "IDP_REPLICA: expected one of queue\\|position\\|positioning",
+        // Names and switches exit like every other knob (no core
+        // dump).
+        {"IDP_LOG=bogus", "IDP_LOG: expected one of error\\|warn\\|info",
          {}},
-        {"IDP_GOVERNOR=2", "IDP_GOVERNOR: expected 1\\|0\\|true", {}},
-        // Not a knob: names outside the table change nothing.
-        {"IDP_PDES_HORIZON=bogus", nullptr,
-         [](const Env &e) { return e.pdesWorkerCount() == 0u; }},
+        {"IDP_VERIFY=2", "IDP_VERIFY: expected 1\\|0\\|true", {}},
+        // Not a knob: an IDP_* name outside the table (a typo, a
+        // retired knob) exits rather than running the defaults.
+        {"IDP_PDES_HORIZON=bogus", "IDP_PDES_HORIZON: not a knob", {}},
+        {"IDP_GOVERNOR=1", "IDP_GOVERNOR: not a knob", {}},
+        // Names without the prefix are not ours.
+        {"HOME=/nonexistent", nullptr,
+         [](const Env &e) { return e.benchOut == "."; }},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.entry);
@@ -157,15 +148,74 @@ TEST(EnvResolve, UnsetOrEmptyMeansDefault)
     EXPECT_EQ(resolved.threads, defaults.threads);
     EXPECT_EQ(resolved.benchOut, ".");
     EXPECT_EQ(resolved.checkInvariants, verify::kCompiledIn);
-    EXPECT_FALSE(resolved.governor.has_value());
-    EXPECT_FALSE(resolved.serveTenants.has_value());
+    EXPECT_FALSE(resolved.tracing.enabled);
+    EXPECT_EQ(resolved.pdesWorkerCount(), 0u);
     EXPECT_EQ(resolved.logLevel, sim::LogLevel::Warn);
+}
 
-    // Unset overrides leave a configuration exactly as it was.
-    serve::ServeParams p;
-    p.tenants = 42;
-    resolved.apply(p);
-    EXPECT_EQ(p.tenants, 42u);
+TEST(EnvTable, NoKnobChangesWhatARunModels)
+{
+    // A legal non-default value for every row: a new knob fails here
+    // until its author gives it one, and with it the run below.
+    const std::map<std::string, std::string> values = {
+        {"IDP_REQUESTS", "1234"},
+        {"IDP_SCALE", "0.5"},
+        {"IDP_THREADS", "3"},
+        {"IDP_PDES", "1"},
+        {"IDP_PDES_WORKERS", "2"},
+        {"IDP_CSV_DIR", "csv"},
+        {"IDP_UPDATE_GOLDEN", "1"},
+        {"IDP_TRACE", "1"},
+        {"IDP_TRACE_SAMPLE", "7"},
+        {"IDP_TRACE_BUF", "64"},
+        {"IDP_LOG", "error"},
+        {"IDP_VERIFY", verify::kCompiledIn ? "0" : "1"},
+        {"IDP_BENCH_OUT", "out"},
+        {"IDP_BENCH_SMOKE", "1"},
+    };
+    std::vector<std::string> entries;
+    for (const config::EnvVar &var : config::envTable()) {
+        const auto value = values.find(var.name);
+        if (value == values.end())
+            ADD_FAILURE() << var.name << " has no test value";
+        else
+            entries.push_back(std::string(var.name) + "=" +
+                              value->second);
+    }
+
+    // A governed RAID-1 under the non-default replica policy, so a
+    // knob that reached the array's model would move the results.
+    core::SystemConfig reference;
+    reference.array.layout = array::Layout::Raid1;
+    reference.array.disks = 2;
+    reference.array.drive =
+        disk::makeIntraDiskParallel(disk::barracudaEs750(), 2);
+    reference.array.replica = array::ReplicaPolicy::Queue;
+    power::GovernorParams &g = reference.array.governor;
+    g.enabled = true;
+    g.windowMs = 50.0;
+    g.minDwellMs = 200.0;
+    core::SystemConfig configured = reference;
+    config::resolveEnv(entries).apply(configured);
+    configured.pdesWorkers = 0; // PDES parity has its own tests
+
+    workload::SyntheticParams wp;
+    wp.requests = 1500;
+    wp.meanInterArrivalMs = 10.0;
+    wp.addressSpaceSectors = 100ULL * 1000 * 1000;
+    const workload::Trace trace = workload::generateSynthetic(wp);
+    const core::RunResult want = core::runTrace(trace, reference);
+    const core::RunResult got = core::runTrace(trace, configured);
+
+    ASSERT_EQ(got.responseHist.buckets(), want.responseHist.buckets());
+    for (std::size_t b = 0; b < want.responseHist.buckets(); ++b)
+        EXPECT_EQ(got.responseHist.count(b), want.responseHist.count(b))
+            << "bucket " << b;
+    EXPECT_EQ(got.meanResponseMs, want.meanResponseMs);
+    EXPECT_EQ(got.p90ResponseMs, want.p90ResponseMs);
+    EXPECT_EQ(got.p99ResponseMs, want.p99ResponseMs);
+    EXPECT_EQ(got.meanRotMs, want.meanRotMs);
+    EXPECT_EQ(got.power.totalEnergyJ, want.power.totalEnergyJ);
 }
 
 } // namespace

@@ -12,7 +12,6 @@
 #include <sstream>
 
 #include "array/storage_array.hh"
-#include "config/env.hh"
 #include "core/csv_export.hh"
 #include "core/experiment.hh"
 #include "exec/sim_sweep.hh"
@@ -182,36 +181,6 @@ TEST(Governor, GovernedLullUsesLessEnergyThanStaticNominal)
         energy[v] = h.arr.finishPower().totalEnergyJ;
     }
     EXPECT_LT(energy[1], energy[0] * 0.85);
-}
-
-TEST(Governor, EnvOverridesParseAndReject)
-{
-    array::ArrayParams params;
-    config::resolveEnv({"IDP_GOVERNOR=1", "IDP_GOVERNOR_WINDOW_MS=125",
-                        "IDP_GOVERNOR_SLO_MS=30",
-                        "IDP_GOVERNOR_DWELL_MS=1500",
-                        "IDP_GOVERNOR_PARK=2"})
-        .apply(params);
-    const power::GovernorParams &g = params.governor;
-    EXPECT_TRUE(g.enabled);
-    EXPECT_DOUBLE_EQ(g.windowMs, 125.0);
-    EXPECT_DOUBLE_EQ(g.sloP99Ms, 30.0);
-    EXPECT_DOUBLE_EQ(g.minDwellMs, 1500.0);
-    EXPECT_EQ(g.parkKeepArms, 2u);
-
-    config::resolveEnv({"IDP_GOVERNOR=0"}).apply(params);
-    EXPECT_FALSE(params.governor.enabled);
-    // Unset knobs keep the array's own settings.
-    config::resolveEnv({}).apply(params);
-    EXPECT_FALSE(params.governor.enabled);
-    EXPECT_DOUBLE_EQ(params.governor.sloP99Ms, 30.0);
-}
-
-TEST(GovernorDeathTest, BadEnvValueIsFatal)
-{
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_EXIT(config::resolveEnv({"IDP_GOVERNOR_SLO_MS=fast"}),
-                ::testing::ExitedWithCode(1), "IDP_GOVERNOR_SLO_MS");
 }
 
 // ---------------------------------------------------------------

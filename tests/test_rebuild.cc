@@ -2,7 +2,7 @@
  * @file
  * Replica pricing, spare reconstruction, and failure-accounting tests:
  * the positioning-priced RAID-1 read dispatch (and its queue-policy
- * escape hatch), the RebuildEngine lifecycle for RAID-1 and RAID-5,
+ * control arm), the RebuildEngine lifecycle for RAID-1 and RAID-5,
  * rate-limit and foreground-yield pacing, the out-of-range sub-request
  * verify violation, and drop-with-accounting for sub-requests caught
  * in flight by failDisk().
@@ -12,7 +12,6 @@
 
 #include "array/rebuild.hh"
 #include "array/storage_array.hh"
-#include "config/env.hh"
 #include "disk/disk_drive.hh"
 #include "rig.hh"
 #include "sim/event_queue.hh"
@@ -150,7 +149,7 @@ TEST(ReplicaDispatch, EscapeHatchQueuePolicyRoundRobins)
 {
     // Same workload under the legacy policy: queues are empty at
     // every submit, so ties alternate replicas 5/5 — the pre-pricing
-    // behaviour the escape hatch must reproduce.
+    // behaviour the control arm must reproduce.
     ArrayParams p = raid1(/*seek_scale=*/4.0);
     p.replica = ReplicaPolicy::Queue;
     Harness h(p);
@@ -160,20 +159,6 @@ TEST(ReplicaDispatch, EscapeHatchQueuePolicyRoundRobins)
                    req(i, far_lba + 64 * i, 8, true));
     h.simul.run();
     EXPECT_EQ(h.completions, 10u);
-    EXPECT_EQ(h.arr.diskAt(0).stats().arrivals, 5u);
-    EXPECT_EQ(h.arr.diskAt(1).stats().arrivals, 5u);
-}
-
-TEST(ReplicaDispatch, EnvOverrideForcesQueuePolicy)
-{
-    ArrayParams p = raid1(/*seek_scale=*/4.0); // params say Positioning
-    config::resolveEnv({"IDP_REPLICA=queue"}).apply(p);
-    Harness h(p);
-    const geom::Lba far_lba = h.arr.logicalSectors() - 4096;
-    for (int i = 0; i < 10; ++i)
-        h.submitAt(i * 100 * sim::kTicksPerMs,
-                   req(i, far_lba + 64 * i, 8, true));
-    h.simul.run();
     EXPECT_EQ(h.arr.diskAt(0).stats().arrivals, 5u);
     EXPECT_EQ(h.arr.diskAt(1).stats().arrivals, 5u);
 }

@@ -15,7 +15,6 @@
 #include <sstream>
 #include <vector>
 
-#include "config/env.hh"
 #include "rig.hh"
 #include "serve/service_loop.hh"
 #include "serve/think_wheel.hh"
@@ -578,32 +577,6 @@ TEST(ServeLoop, CapturedMetricDeltasSumToRunTotals)
     // deltas tile the run exactly.
     EXPECT_DOUBLE_EQ(arrivals,
                      static_cast<double>(r.totals.arrivals));
-}
-
-// ---------------------------------------------------------------
-// Environment overrides
-// ---------------------------------------------------------------
-
-TEST(ServeEnv, OverridesApply)
-{
-    // A malformed value is fatal (EnvResolveDeathTest); the zero
-    // values runService accepts apply like any other.
-    const serve::ServeParams base;
-    serve::ServeParams p = base;
-    config::resolveEnv({"IDP_SERVE_TENANTS=777",
-                        "IDP_SERVE_SLO_P99_MS=42.5",
-                        "IDP_SERVE_MAX_INFLIGHT=0",
-                        "IDP_SERVE_SNAPSHOT_MS=0", "IDP_SERVE_WARMUP=0",
-                        "IDP_SERVE_OPEN_FRACTION=0"})
-        .apply(p);
-
-    EXPECT_EQ(p.tenants, 777u);
-    EXPECT_DOUBLE_EQ(p.slo.p99TargetMs, 42.5);
-    EXPECT_DOUBLE_EQ(p.durationSeconds, base.durationSeconds);
-    EXPECT_EQ(p.admission.maxInFlight, 0u);
-    EXPECT_DOUBLE_EQ(p.snapshotPeriodMs, 0.0);
-    EXPECT_DOUBLE_EQ(p.warmupSeconds, 0.0);
-    EXPECT_DOUBLE_EQ(p.openFraction, 0.0);
 }
 
 // ---------------------------------------------------------------
